@@ -29,8 +29,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
-/// Global count of OS threads ever spawned by workgroups — the
-/// "no spawns after warm-up" regression guard.
+/// Process-wide aggregate of OS threads ever spawned by workgroups (the
+/// `wg.spawned_workers.global` metric). Per-group guards read
+/// [`Workgroup::spawn_count`], which concurrent groups cannot disturb.
 static WORKER_SPAWNS: AtomicUsize = AtomicUsize::new(0);
 
 /// Total workgroup worker threads spawned process-wide since start.
@@ -80,6 +81,9 @@ pub struct Workgroup {
     affinity: Option<u128>,
     label: String,
     workers: Mutex<Vec<JoinHandle<()>>>,
+    /// OS threads this group ever spawned — the "no spawns after warm-up"
+    /// regression guard.
+    spawns: AtomicUsize,
     /// Serializes parallel regions submitted from different threads.
     submit: Mutex<()>,
     /// Pool occupancy/spawn metrics sink (a disabled hub by default).
@@ -107,6 +111,7 @@ impl Workgroup {
             affinity,
             label: label.into(),
             workers: Mutex::new(Vec::new()),
+            spawns: AtomicUsize::new(0),
             submit: Mutex::new(()),
             obs: ObsHub::new(),
         }
@@ -132,6 +137,11 @@ impl Workgroup {
         self.workers.lock().expect("workgroup mutex").len()
     }
 
+    /// OS threads this group has spawned since creation.
+    pub fn spawn_count(&self) -> usize {
+        self.spawns.load(Ordering::Relaxed)
+    }
+
     /// Spawn the resident workers if this is the first parallel region.
     fn ensure_workers(&self) {
         let mut ws = self.workers.lock().expect("workgroup mutex");
@@ -146,6 +156,7 @@ impl Workgroup {
         for w in 1..self.width {
             let shared = self.shared.clone();
             let core = cores.get(w).copied().unwrap_or(w as u32);
+            self.spawns.fetch_add(1, Ordering::Relaxed);
             WORKER_SPAWNS.fetch_add(1, Ordering::Relaxed);
             self.obs.counter_add("wg.spawned_workers", 1);
             let h = std::thread::Builder::new()

@@ -2,6 +2,10 @@
 //! pipeline and reused for every parallel region (no per-task thread
 //! spawns), width-1 pools stay inline, and a panicking task fails its
 //! region without poisoning the pool.
+//!
+//! Spawn guards read the group's own [`Workgroup::spawn_count`]: the
+//! process-wide [`worker_spawn_count`] aggregate also counts groups that
+//! concurrently running tests create.
 
 use hs_coi::{worker_spawn_count, Workgroup};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -13,7 +17,12 @@ fn no_spawns_after_warmup() {
     wg.par_for(64, |_| {});
     let resident = wg.resident_workers();
     assert_eq!(resident, 3, "width 4 => 3 resident workers + caller lane");
-    let spawned = worker_spawn_count();
+    let spawned = wg.spawn_count();
+    assert_eq!(spawned, 3, "warm-up spawned exactly the resident workers");
+    assert!(
+        worker_spawn_count() >= spawned,
+        "the aggregate covers this group"
+    );
     // Many further regions of both flavours: the pool must not spawn again.
     for round in 0..200 {
         let hits = AtomicUsize::new(0);
@@ -30,7 +39,7 @@ fn no_spawns_after_warmup() {
         assert!(data.iter().all(|&x| x != 0));
     }
     assert_eq!(
-        worker_spawn_count(),
+        wg.spawn_count(),
         spawned,
         "parallel regions after warmup must reuse resident workers"
     );
@@ -39,7 +48,6 @@ fn no_spawns_after_warmup() {
 
 #[test]
 fn width_one_never_spawns() {
-    let before = worker_spawn_count();
     let wg = Workgroup::new(1, "t-w1", None);
     let hits = AtomicUsize::new(0);
     for _ in 0..50 {
@@ -54,8 +62,8 @@ fn width_one_never_spawns() {
         "width 1 runs inline on the caller"
     );
     assert_eq!(
-        worker_spawn_count(),
-        before,
+        wg.spawn_count(),
+        0,
         "width-1 fast path must not touch the thread pool"
     );
 }
@@ -64,7 +72,7 @@ fn width_one_never_spawns() {
 fn panic_does_not_poison_pool() {
     let wg = Workgroup::new(3, "t-panic", None);
     wg.par_for(8, |_| {}); // warm up
-    let spawned = worker_spawn_count();
+    let spawned = wg.spawn_count();
     let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         wg.par_for(16, |i| {
             if i == 11 {
@@ -79,7 +87,7 @@ fn panic_does_not_poison_pool() {
         hits.fetch_add(1, Ordering::Relaxed);
     });
     assert_eq!(hits.load(Ordering::Relaxed), 32);
-    assert_eq!(worker_spawn_count(), spawned, "no respawn after a panic");
+    assert_eq!(wg.spawn_count(), spawned, "no respawn after a panic");
 }
 
 #[test]
@@ -87,7 +95,7 @@ fn pool_reused_across_many_chunked_regions() {
     let wg = Workgroup::new(2, "t-chunks", None);
     let mut data = vec![0.0f64; 1000];
     wg.par_chunks_mut(&mut data, 128, |_, c| c.fill(1.0));
-    let spawned = worker_spawn_count();
+    let spawned = wg.spawn_count();
     for round in 1..100u32 {
         wg.par_chunks_mut(&mut data, 64 + (round as usize % 64), |idx, c| {
             for x in c.iter_mut() {
@@ -95,7 +103,7 @@ fn pool_reused_across_many_chunked_regions() {
             }
         });
     }
-    assert_eq!(worker_spawn_count(), spawned);
+    assert_eq!(wg.spawn_count(), spawned);
     assert!(data.iter().all(|&x| x > 1.0));
 }
 

@@ -10,6 +10,8 @@
 //!   bincode — the WAL payload format is a stability surface of its own,
 //!   DESIGN.md §16);
 //! * the [`ActionLog`] trait and both sinks;
+//! * the recovery procedure (`HStreams::recover`) and its replay, in
+//!   barrier phases ([`barrier_phases`]);
 //! * [`WalShared`], the writer handle behind `LockClass::Wal` that the
 //!   wait-entry flush hooks and the checkpoint path reach without taking
 //!   the `Recovery` lock;
@@ -25,16 +27,18 @@
 //! itself broken, notes the loss of durability on the chaos log, and the
 //! run continues in-memory-only.
 
+use crate::exec::Executor;
 use crate::lockorder::{self, LockClass};
 use crate::sync::{AtomicU64, Mutex, Ordering};
 use crate::types::{Access, BufferId, CostHint, DomainId, Operand, StreamId};
+use crate::{with_class, ActionOpts, Event, HStreams, HsError, HsResult};
 use crate::{LoggedAction, LoggedOp};
 use bytes::Bytes;
 use hs_chaos::{ChaosHub, FailureCause, RetryPolicy, WalFault};
 use hs_machine::KernelKind;
 use hs_obs::ObsHub;
 use hs_wal::{Wal, WalStats, META_PARTITION};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -342,6 +346,98 @@ pub(crate) fn decode_checkpoint(b: &[u8]) -> Option<(u64, Vec<CheckpointBuf>)> {
 // ---------------------------------------------------------------------------
 // Run directory layout.
 
+/// Leading byte of a barrier record on the meta partition. Disjoint from
+/// every `FailureCause` encoding tag, so each decoder rejects the other's
+/// records (and a runtime that predates barriers skips them).
+const BARRIER_TAG: u8 = 0xB7;
+
+/// A replay barrier: a host wait returned successfully after the records
+/// named by `marks` — per stream partition, the id of its last record
+/// logged before the wait returned. Layout: tag, count, then
+/// (partition u32, ev u64) pairs.
+pub(crate) fn encode_barrier(marks: &[(u32, u64)]) -> Vec<u8> {
+    let mut out = vec![BARRIER_TAG];
+    put_u32(&mut out, marks.len() as u32);
+    for &(part, ev) in marks {
+        put_u32(&mut out, part);
+        put_u64(&mut out, ev);
+    }
+    out
+}
+
+/// Inverse of [`encode_barrier`]; `None` for anything else (degradation
+/// causes share the meta partition).
+pub(crate) fn decode_barrier(b: &[u8]) -> Option<Vec<(u32, u64)>> {
+    let mut rd = Rd::new(b);
+    if rd.u8()? != BARRIER_TAG {
+        return None;
+    }
+    let n = rd.u32()? as usize;
+    let mut marks = Vec::with_capacity(n.min(b.len() / 12));
+    for _ in 0..n {
+        marks.push((rd.u32()?, rd.u64()?));
+    }
+    rd.done().then_some(marks)
+}
+
+/// Split recovered actions into barrier phases, in log order: phase *k*
+/// holds, per stream partition, the records logged after barrier *k−1*
+/// and up to barrier *k*'s mark. Replay waits for each phase before it
+/// enqueues the next, as the crashed run's host did — over-synchronized
+/// where the run waited on less than everything (`event_wait`,
+/// `stream_synchronize`), never under. A log without barriers is one
+/// phase.
+///
+/// `order` is each partition's retained record ids in log order,
+/// undecodable ones included, so positions match the log. A mark absent
+/// from it was checkpointed (below `wm`: nothing retained of the
+/// partition precedes the barrier) or lost to a torn tail (everything
+/// retained precedes it).
+pub(crate) fn barrier_phases(
+    actions: Vec<LoggedAction>,
+    order: &HashMap<u32, Vec<u64>>,
+    barriers: &[Vec<(u32, u64)>],
+    wm: u64,
+) -> Vec<Vec<LoggedAction>> {
+    // Per partition: each barrier's cut (records before it), kept monotone.
+    let cuts: HashMap<u32, Vec<usize>> = order
+        .iter()
+        .map(|(&part, seq)| {
+            let mut last = 0;
+            let cuts = barriers
+                .iter()
+                .map(|marks| {
+                    let cut = match marks.iter().find(|&&(p, _)| p == part) {
+                        None => 0,
+                        Some(&(_, ev)) => match seq.iter().position(|&e| e == ev) {
+                            Some(i) => i + 1,
+                            None if ev < wm => 0,
+                            None => seq.len(),
+                        },
+                    };
+                    last = cut.max(last);
+                    last
+                })
+                .collect();
+            (part, cuts)
+        })
+        .collect();
+    let pos: HashMap<u64, usize> = order
+        .values()
+        .flat_map(|seq| seq.iter().enumerate().map(|(i, &ev)| (ev, i)))
+        .collect();
+    let mut phases: Vec<Vec<LoggedAction>> = (0..=barriers.len()).map(|_| Vec::new()).collect();
+    for la in actions {
+        let at = pos.get(&la.ev).copied().unwrap_or(usize::MAX);
+        let phase = cuts
+            .get(&la.stream.0)
+            .map_or(0, |c| c.partition_point(|&cut| cut <= at));
+        phases[phase].push(la);
+    }
+    phases.retain(|p| !p.is_empty());
+    phases
+}
+
 pub(crate) fn run_dir_name(run_id: u64) -> String {
     format!("run-{run_id:016x}")
 }
@@ -613,6 +709,16 @@ impl WalShared {
         Self::mark_broken(&mut st, &self.chaos, &self.obs, why);
     }
 
+    /// Append a replay barrier ([`encode_barrier`]) to the meta partition.
+    /// Its record id is the largest mark: once a checkpoint watermark
+    /// passes every mark, nothing the barrier orders is replayed any more
+    /// and watermark retirement may drop it. Same locking contract as
+    /// [`Self::append`].
+    pub(crate) fn append_barrier(&self, marks: &[(u32, u64)]) {
+        let ev = marks.iter().map(|&(_, ev)| ev).max().unwrap_or(0);
+        self.append(META_PARTITION, ev, &encode_barrier(marks));
+    }
+
     /// Append a metadata record (degradation cause) to the meta partition.
     /// Takes only `LockClass::Wal`; safe from the degradation path, which
     /// holds the world lock exclusively.
@@ -628,7 +734,6 @@ impl WalShared {
 /// in-memory entry list that card-loss degradation replays from;
 /// [`WalLog`] additionally mirrors entries to disk.
 pub(crate) trait ActionLog: Send {
-    fn push(&mut self, la: LoggedAction);
     fn extend(&mut self, las: Vec<LoggedAction>);
     /// Clone of the in-memory entries (card-loss replay snapshot).
     fn snapshot(&self) -> Vec<LoggedAction>;
@@ -644,6 +749,10 @@ pub(crate) trait ActionLog: Send {
     /// observed complete is framed and buffered before the flush pushes it
     /// to the page cache.
     fn drain(&mut self);
+    /// Record a successful host wait as a replay barrier (no-op for the
+    /// in-memory log, which card-loss replay reads with its recorded
+    /// dependences instead).
+    fn barrier(&mut self) {}
 }
 
 /// Today's semantics: in-memory only, populated while chaos is armed.
@@ -653,10 +762,6 @@ pub(crate) struct MemLog {
 }
 
 impl ActionLog for MemLog {
-    fn push(&mut self, la: LoggedAction) {
-        self.entries.push(la);
-    }
-
     fn extend(&mut self, las: Vec<LoggedAction>) {
         self.entries.extend(las);
     }
@@ -693,6 +798,8 @@ struct Stage {
     buf: Vec<u8>,
     records: u64,
     max_ev: u64,
+    /// Id of the partition's most recent record: its barrier mark.
+    last_ev: u64,
 }
 
 /// Durable sink: the in-memory mirror plus an append to the shared WAL for
@@ -713,6 +820,9 @@ pub(crate) struct WalLog {
     wal: Arc<WalShared>,
     scratch: Vec<u8>,
     staged: BTreeMap<u32, Stage>,
+    /// A record was staged since the last barrier: back-to-back waits
+    /// (a `thread_synchronize`'s per-stream syncs) log one barrier.
+    since_barrier: bool,
 }
 
 impl WalLog {
@@ -722,6 +832,7 @@ impl WalLog {
             wal,
             scratch: Vec::new(),
             staged: BTreeMap::new(),
+            since_barrier: false,
         }
     }
 
@@ -738,6 +849,8 @@ impl WalLog {
         }
         stage.records += 1;
         stage.max_ev = stage.max_ev.max(la.ev);
+        stage.last_ev = la.ev;
+        self.since_barrier = true;
         if stage.buf.len() >= STAGE_DRAIN_BYTES {
             self.wal
                 .append_framed(la.stream.0, &stage.buf, stage.records, stage.max_ev);
@@ -760,14 +873,10 @@ impl WalLog {
 }
 
 impl ActionLog for WalLog {
-    fn push(&mut self, la: LoggedAction) {
-        self.append_wal(&la);
-        self.entries.push(la);
-    }
-
     fn extend(&mut self, las: Vec<LoggedAction>) {
         for la in las {
-            self.push(la);
+            self.append_wal(&la);
+            self.entries.push(la);
         }
     }
 
@@ -792,6 +901,280 @@ impl ActionLog for WalLog {
 
     fn drain(&mut self) {
         self.drain_staged();
+    }
+
+    fn barrier(&mut self) {
+        if !self.since_barrier {
+            return;
+        }
+        self.since_barrier = false;
+        let marks: Vec<(u32, u64)> = self
+            .staged
+            .iter()
+            .map(|(part, stage)| (*part, stage.last_ev))
+            .collect();
+        // The marked records reach the writer before the barrier does.
+        self.drain_staged();
+        self.wal.append_barrier(&marks);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The recovery procedure.
+
+impl HStreams {
+    /// Recover a crashed durable run from `root`: scan the oldest run
+    /// directory's segments (tolerating torn tails), overlay its checkpoint
+    /// blob, and re-enqueue every un-retired action through the normal
+    /// paths — re-logged into a fresh run directory, so recovery itself is
+    /// crash-safe (an interrupted recovery leaves the source run intact and
+    /// a partial newer generation that the next recovery deletes).
+    ///
+    /// Call on a freshly initialized runtime after recreating the same
+    /// kernels, streams and buffers the crashed run had (ids are assigned
+    /// in creation order, so "the same init code" suffices). `buffer_write`
+    /// is *not* logged — the restarted process re-applies its initial
+    /// buffer contents as part of that init, except for state a checkpoint
+    /// overlay restores. Afterwards the runtime is live and durable;
+    /// `stream_synchronize`/`event_wait` the replayed work as usual.
+    pub fn recover(&self, root: impl AsRef<std::path::Path>) -> HsResult<RecoveryReport> {
+        let root = root.as_ref();
+        if self.inner.events.len() != 0 {
+            return Err(HsError::InvalidArg(
+                "recover requires a fresh runtime (no actions enqueued)".into(),
+            ));
+        }
+        let runs = list_runs(root).map_err(|e| {
+            HsError::ExecFailed(format!("recover: listing {}: {e}", root.display()))
+        })?;
+        let Some((src_id, src_dir)) = runs.first().cloned() else {
+            return Err(HsError::InvalidArg(format!(
+                "recover: no run directories under {}",
+                root.display()
+            )));
+        };
+        // Newer runs are partial re-logs from an interrupted recovery —
+        // nothing else can mint a run over a non-empty root, because
+        // `durability()` refuses one. The oldest run is authoritative.
+        for (_, dir) in &runs[1..] {
+            let _ = std::fs::remove_dir_all(dir);
+        }
+        let scanned = hs_wal::recover_dir(&src_dir).map_err(|e| {
+            HsError::ExecFailed(format!("recover: scanning {}: {e}", src_dir.display()))
+        })?;
+        let ckpt = hs_wal::read_blob(&src_dir.join("checkpoint.blob"))
+            .map_err(|e| HsError::ExecFailed(format!("recover: checkpoint: {e}")))?
+            .and_then(|b| decode_checkpoint(&b));
+        let mut report = RecoveryReport {
+            run_id: src_id,
+            torn: scanned.torn,
+            checkpoint_watermark: ckpt.as_ref().map(|(wm, _)| *wm),
+            ..Default::default()
+        };
+        let wm = ckpt.as_ref().map_or(0, |(wm, _)| *wm);
+        // Split the scan into meta records (prior failure history) and
+        // replayable actions above the checkpoint watermark.
+        let mut actions: Vec<LoggedAction> = Vec::new();
+        let mut barriers: Vec<Vec<(u32, u64)>> = Vec::new();
+        let mut order: std::collections::HashMap<u32, Vec<u64>> = Default::default();
+        for r in scanned.records {
+            if r.partition == hs_wal::META_PARTITION {
+                if let Some(marks) = decode_barrier(&r.payload) {
+                    barriers.push(marks);
+                } else if let Some(cause) = FailureCause::decode(&r.payload) {
+                    report.prior_failures.push(cause);
+                }
+                continue;
+            }
+            if r.ev < wm {
+                report.checkpointed += 1;
+                continue;
+            }
+            order.entry(r.partition).or_default().push(r.ev);
+            match decode_action(r.ev, StreamId(r.partition), &r.payload) {
+                Some(la) => actions.push(la),
+                None => {
+                    report.skipped += 1;
+                    self.inner.chaos.note(format!(
+                        "recover: undecodable record ev {} on stream {}",
+                        r.ev, r.partition
+                    ));
+                }
+            }
+        }
+        report.records = actions.len() as u32;
+        let phases = barrier_phases(actions, &order, &barriers, wm);
+        // Re-log into a fresh generation, strictly newer than the source.
+        let new_id = fresh_run_id().max(src_id + 1);
+        self.enable_durability(root, new_id, hs_wal::WalOptions::default())?;
+        let mut ckpt_persisted = true;
+        if let Some((_, bufs)) = &ckpt {
+            self.wal_overlay_checkpoint(bufs);
+            // Persist the overlaid state into the new generation *now*:
+            // the source checkpoint is the only copy of the pre-watermark
+            // buffer state (its log records were retired), so until the
+            // new run carries it on disk, that state exists solely in
+            // memory — a second crash before the new generation's first
+            // throttled checkpoint would replay the tail against
+            // init-state buffers. Watermark 0: every re-logged record of
+            // the new generation is above it.
+            ckpt_persisted = self.wal().is_some_and(|w| w.checkpoint(0, bufs));
+        }
+        self.replay_recovered(phases, &mut report);
+        self.wal_flush();
+        if ckpt_persisted {
+            // The new generation now carries everything; drop the source.
+            let _ = std::fs::remove_dir_all(&src_dir);
+        } else {
+            // Could not write the checkpoint into the new run (durability
+            // already noted as lost): keep the source run — it is still
+            // the only durable copy of the pre-watermark state, and a
+            // later recover() will pick it (the oldest) again.
+            self.inner.chaos.note(format!(
+                "recover: checkpoint not persisted into run {new_id:016x}; \
+                 keeping source run {src_id:016x}"
+            ));
+        }
+        Ok(report)
+    }
+
+    /// Re-enqueue recovered actions through the enqueue front door, one
+    /// barrier phase ([`barrier_phases`]) at a time, with the
+    /// crashed run's host wait between phases. Within a phase,
+    /// per-partition WAL order is per-stream enqueue order, so each stream
+    /// replays as a FIFO queue; streams round-robin so cross-stream `Sync`
+    /// dependences can resolve. Compute and transfer actions re-derive
+    /// their intra-stream dependences from operands at enqueue; only `Sync`
+    /// actions carry explicit (old-id) dependences, which are mapped to the
+    /// replayed events — a dependence absent from the recovered set was
+    /// complete before the crash and is dropped. (Why this differs from
+    /// card-loss replay: DESIGN.md §16.)
+    fn replay_recovered(&self, phases: Vec<Vec<LoggedAction>>, report: &mut RecoveryReport) {
+        use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+        let retained: HashSet<u64> = phases.iter().flatten().map(|la| la.ev).collect();
+        let mut mapped: HashMap<u64, Event> = HashMap::new();
+        let mut resolved: HashSet<u64> = HashSet::new();
+        for (k, phase) in phases.into_iter().enumerate() {
+            if k > 0 {
+                if let Err(e) = self.thread_synchronize() {
+                    self.inner
+                        .chaos
+                        .note(format!("recover: barrier wait failed: {e}"));
+                }
+            }
+            let mut queues: BTreeMap<u32, VecDeque<LoggedAction>> = BTreeMap::new();
+            for la in phase {
+                queues.entry(la.stream.0).or_default().push_back(la);
+            }
+            let mut force = false;
+            while queues.values().any(|q| !q.is_empty()) {
+                let mut progress = false;
+                for q in queues.values_mut() {
+                    while let Some(front) = q.front() {
+                        let ready = force
+                            || !matches!(front.op, LoggedOp::Sync)
+                            || front
+                                .deps
+                                .iter()
+                                .all(|d| !retained.contains(d) || resolved.contains(d));
+                        if !ready {
+                            break;
+                        }
+                        let la = q.pop_front().expect("front just observed");
+                        let opts = ActionOpts {
+                            deadline: None,
+                            retry: Some(la.retry),
+                        };
+                        let waits: Vec<Event> = la
+                            .deps
+                            .iter()
+                            .filter_map(|d| mapped.get(d).copied())
+                            .collect();
+                        let res = if matches!(la.op, LoggedOp::Sync) && waits.is_empty() {
+                            // Every awaited event predates the recovered
+                            // set: the wait is satisfied by construction.
+                            Ok(None)
+                        } else {
+                            let action = la.op.to_action(None, waits);
+                            self.enqueue_one(la.stream, action, opts).map(Some)
+                        };
+                        resolved.insert(la.ev);
+                        match res {
+                            Ok(ev) => {
+                                mapped.extend(ev.map(|ev| (la.ev, ev)));
+                                report.replayed += 1;
+                            }
+                            Err(e) => {
+                                report.skipped += 1;
+                                self.inner
+                                    .chaos
+                                    .note(format!("recover: replay of ev {} failed: {e}", la.ev));
+                            }
+                        }
+                        progress = true;
+                    }
+                }
+                // A full round without progress means a dependence cycle
+                // through records the log cannot express (or deps on
+                // skipped records): force the fronts through with whatever
+                // dependences resolved.
+                if !progress {
+                    if force {
+                        break;
+                    }
+                    self.inner
+                        .chaos
+                        .note("recover: forcing stuck replay fronts".to_string());
+                }
+                force = !progress;
+            }
+        }
+    }
+
+    /// Write a checkpoint's buffer bytes back into the live instantiations
+    /// (thread mode) or the host shadow map (sim mode). Mismatches — a
+    /// buffer or instantiation the restarted application did not recreate —
+    /// are noted and skipped, never fatal.
+    fn wal_overlay_checkpoint(&self, bufs: &[(u64, u32, Vec<u8>)]) {
+        for (id, domain, bytes) in bufs {
+            let buf = BufferId(*id);
+            let dom = DomainId(*domain as usize);
+            match &self.inner.exec {
+                Executor::Thread(t) => {
+                    let _lo = lockorder::acquiring(LockClass::Buffers);
+                    let buffers = self.inner.buffers.read();
+                    let mem = buffers
+                        .get(buf)
+                        .ok()
+                        .filter(|rec| rec.len == bytes.len())
+                        .and_then(|rec| rec.window(dom).ok())
+                        .and_then(|w| t.coi().fabric().window(w.id()));
+                    let ok = match &mem {
+                        Some(mem) => match mem.lock_range(0..bytes.len(), true) {
+                            Ok(mut g) => {
+                                g.as_mut_slice().copy_from_slice(bytes);
+                                true
+                            }
+                            Err(_) => false,
+                        },
+                        None => false,
+                    };
+                    if !ok {
+                        self.inner.chaos.note(format!(
+                            "recover: checkpoint overlay skipped buf {id} domain {domain} \
+                             (not recreated or size mismatch)"
+                        ));
+                    }
+                }
+                Executor::Sim(_) => {
+                    if dom.is_host() {
+                        with_class(LockClass::SimShadow, || {
+                            self.inner.sim_shadow.lock().insert(buf, bytes.clone())
+                        });
+                    }
+                }
+            }
+        }
     }
 }
 
@@ -972,6 +1355,50 @@ mod tests {
             long.push(0);
             assert!(decode_action(la.ev, la.stream, &long).is_none());
         }
+    }
+
+    #[test]
+    fn barrier_round_trip_and_disjoint_from_causes() {
+        let marks = vec![(0, 7), (3, u64::MAX - 1)];
+        let b = encode_barrier(&marks);
+        assert_eq!(decode_barrier(&b), Some(marks));
+        assert!(FailureCause::decode(&b).is_none(), "not a cause");
+        let cause = FailureCause::CardLost { card: 1 }.to_bytes();
+        assert!(decode_barrier(&cause).is_none(), "not a barrier");
+        assert!(decode_barrier(&b[..b.len() - 1]).is_none(), "truncated");
+    }
+
+    #[test]
+    fn barrier_phases_cut_each_partition_at_its_mark() {
+        let la = |ev, s| LoggedAction {
+            ev,
+            stream: StreamId(s),
+            op: LoggedOp::Sync,
+            deps: Vec::new(),
+            wrote: Vec::new(),
+            retry: RetryPolicy::none(),
+        };
+        // Partition 0 logged 10, 11, 12; partition 1 logged 20, 21.
+        let order: HashMap<u32, Vec<u64>> = [(0, vec![10, 11, 12]), (1, vec![20, 21])].into();
+        let actions = || vec![la(10, 0), la(11, 0), la(12, 0), la(20, 1), la(21, 1)];
+        let evs = |phases: Vec<Vec<LoggedAction>>| -> Vec<Vec<u64>> {
+            phases
+                .iter()
+                .map(|p| p.iter().map(|a| a.ev).collect())
+                .collect()
+        };
+        // No barriers: one phase, exactly today's replay.
+        let one = barrier_phases(actions(), &order, &[], 0);
+        assert_eq!(evs(one), [vec![10, 11, 12, 20, 21]]);
+        // Two waits; the second saw no new record on partition 1.
+        let barriers = [vec![(0, 11), (1, 20)], vec![(0, 12), (1, 20)]];
+        let three = barrier_phases(actions(), &order, &barriers, 0);
+        assert_eq!(evs(three), [vec![10, 11, 20], vec![12], vec![21]]);
+        // A mark below the watermark orders nothing retained; a mark lost
+        // to a torn tail orders everything retained in its partition.
+        let barriers = [vec![(0, 5), (1, 99)]];
+        let cut = barrier_phases(actions(), &order, &barriers, 8);
+        assert_eq!(evs(cut), [vec![20, 21], vec![10, 11, 12]]);
     }
 
     #[test]

@@ -15,6 +15,7 @@ use hs_machine::Device;
 use hs_sim::Token;
 
 use crate::lockorder::LockClass;
+use crate::small::FirstInline;
 use crate::types::CostHint;
 use crate::with_class;
 
@@ -84,6 +85,9 @@ pub enum BatchDep {
     Internal(usize),
 }
 
+/// Why [`BatchDep::Internal`] indexes always resolve.
+const EARLIER: &str = "batch dep must point at an earlier item";
+
 /// Per-item completion-event hook for [`Executor::submit_batch`]: called
 /// with (batch index, completion event) after creation, before wiring.
 pub type BatchObserver<'a> = &'a dyn Fn(usize, &CoiEvent);
@@ -91,7 +95,7 @@ pub type BatchObserver<'a> = &'a dyn Fn(usize, &CoiEvent);
 /// One action of a batched submission ([`Executor::submit_batch`]).
 pub struct BatchSubmitItem {
     pub spec: ActionSpec,
-    pub deps: Vec<BatchDep>,
+    pub deps: FirstInline<BatchDep>,
     pub obs: hs_obs::ObsAction,
     pub opts: SubmitOpts,
 }
@@ -144,25 +148,10 @@ impl Executor {
         }
     }
 
-    /// Submit an action with its dependences; returns its completion event.
-    /// `obs` is the action's lifecycle handle (inert when tracing is off);
-    /// `opts` carries the deadline and retry budget.
-    pub fn submit(
-        &self,
-        spec: ActionSpec,
-        deps: &[BackendEvent],
-        obs: hs_obs::ObsAction,
-        opts: SubmitOpts,
-    ) -> BackendEvent {
-        match self {
-            Executor::Thread(t) => BackendEvent::Thread(t.submit(spec, deps, obs, opts)),
-            Executor::Sim(s) => BackendEvent::Sim(with_class(LockClass::SimExec, || {
-                s.lock().submit(spec, deps, obs, opts)
-            })),
-        }
-    }
-
-    /// Submit a batch of actions in one executor round-trip; returns their
+    /// Submit a batch of actions in one executor round-trip — the only
+    /// submission entry point: a single action is a batch of one. `obs` of
+    /// each item is its lifecycle handle (inert when tracing is off);
+    /// `opts` carries its deadline and retry budget. Returns the
     /// completion events, index-aligned with `items`. Thread mode amortizes
     /// the shared-state traffic (one counter RMW, one outstanding-list
     /// lock, one context read for the whole batch); sim mode takes the
@@ -178,25 +167,21 @@ impl Executor {
     /// producer would then record the completions inverted.
     pub fn submit_batch(
         &self,
-        items: Vec<BatchSubmitItem>,
+        items: FirstInline<BatchSubmitItem>,
         observe: Option<BatchObserver<'_>>,
-    ) -> Vec<BackendEvent> {
+    ) -> FirstInline<BackendEvent> {
         match self {
-            Executor::Thread(t) => t
-                .submit_batch(items, observe)
-                .into_iter()
-                .map(BackendEvent::Thread)
-                .collect(),
+            Executor::Thread(t) => t.submit_batch(items, observe),
             Executor::Sim(s) => with_class(LockClass::SimExec, || {
                 let mut sim = s.lock();
-                let mut out: Vec<BackendEvent> = Vec::with_capacity(items.len());
+                let mut out: FirstInline<BackendEvent> = FirstInline::with_capacity(items.len());
                 for item in items {
                     let deps: Vec<BackendEvent> = item
                         .deps
                         .iter()
                         .map(|d| match d {
                             BatchDep::External(be) => be.clone(),
-                            BatchDep::Internal(j) => out[*j].clone(),
+                            BatchDep::Internal(j) => out.get(*j).expect(EARLIER).clone(),
                         })
                         .collect();
                     let tok = sim.submit(item.spec, &deps, item.obs, item.opts);

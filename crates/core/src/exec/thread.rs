@@ -15,6 +15,7 @@
 //! thread happened to run the dispatch callback.
 
 use super::{ActionSpec, BackendEvent, SubmitOpts};
+use crate::small::FirstInline;
 use crate::sync::{
     Arc, AtomicU32, AtomicU64, AtomicUsize, Condvar, Mutex, OnceLock, Ordering, RwLock,
 };
@@ -350,22 +351,6 @@ impl ThreadExec {
         self.rebuild_ctx(&pipes);
     }
 
-    pub fn submit(
-        &self,
-        spec: ActionSpec,
-        deps: &[BackendEvent],
-        obs: ObsAction,
-        opts: SubmitOpts,
-    ) -> CoiEvent {
-        self.started.get_or_init(Instant::now);
-        let salt = self.submitted.fetch_add(1, Ordering::Relaxed) + 1;
-        let done = CoiEvent::new();
-        self.track(done.clone());
-        let deps: Vec<CoiEvent> = deps.iter().map(|d| d.as_thread().clone()).collect();
-        self.wire(spec, &deps, obs, opts, self.ctx.read().clone(), &done, salt);
-        done
-    }
-
     /// Submit a whole batch, amortizing the per-submit shared-state traffic:
     /// one submission-counter RMW (salts are the batch's ordinal range), one
     /// outstanding-list lock, one dispatch-context read-lock for all items.
@@ -374,22 +359,24 @@ impl ThreadExec {
     /// earlier item of the same batch.
     pub fn submit_batch(
         &self,
-        items: Vec<super::BatchSubmitItem>,
+        items: FirstInline<super::BatchSubmitItem>,
         observe: Option<super::BatchObserver<'_>>,
-    ) -> Vec<CoiEvent> {
+    ) -> FirstInline<BackendEvent> {
         self.started.get_or_init(Instant::now);
         let salt0 = self
             .submitted
             .fetch_add(items.len() as u64, Ordering::Relaxed)
             + 1;
         let ctx = self.ctx.read().clone();
-        let dones: Vec<CoiEvent> = items.iter().map(|_| CoiEvent::new()).collect();
+        let dones: FirstInline<BackendEvent> = (0..items.len())
+            .map(|_| BackendEvent::Thread(CoiEvent::new()))
+            .collect();
         // Observers register before any wiring: their completion callbacks
         // must precede dependence countdowns in each event's callback list
         // (see `Executor::submit_batch`).
         if let Some(observe) = observe {
             for (i, d) in dones.iter().enumerate() {
-                observe(i, d);
+                observe(i, d.as_thread());
             }
         }
         {
@@ -397,41 +384,37 @@ impl ThreadExec {
             if out.len() + dones.len() >= 64 {
                 out.retain(|e| !e.is_complete());
             }
-            out.extend(dones.iter().cloned());
+            out.extend(dones.iter().map(|d| d.as_thread().clone()));
         }
-        for (i, item) in items.into_iter().enumerate() {
-            let deps: Vec<CoiEvent> = item
-                .deps
-                .iter()
-                .map(|d| match d {
-                    super::BatchDep::External(be) => be.as_thread().clone(),
-                    super::BatchDep::Internal(j) => {
-                        debug_assert!(*j < i, "batch dep must point at an earlier item");
-                        dones[*j].clone()
-                    }
-                })
-                .collect();
+        for ((i, item), done) in items.into_iter().enumerate().zip(dones.iter()) {
+            let deps = item.deps.iter().map(|d| match d {
+                super::BatchDep::External(be) => be.as_thread(),
+                super::BatchDep::Internal(j) => {
+                    debug_assert!(*j < i, "{}", super::EARLIER);
+                    dones.get(*j).expect(super::EARLIER).as_thread()
+                }
+            });
             self.wire(
                 item.spec,
-                &deps,
+                deps,
                 item.obs,
                 item.opts,
                 ctx.clone(),
-                &dones[i],
+                done.as_thread(),
                 salt0 + i as u64,
             );
         }
         dones
     }
 
-    /// Shared tail of `submit`/`submit_batch`: attach observability and
-    /// deadline hooks to `done`, then dispatch now or park the action on a
+    /// Per-item tail of `submit_batch`: attach observability and deadline
+    /// hooks to `done`, then dispatch now or park the action on a
     /// dependence countdown.
     #[allow(clippy::too_many_arguments)]
-    fn wire(
+    fn wire<'d>(
         &self,
         spec: ActionSpec,
-        deps: &[CoiEvent],
+        deps: impl Iterator<Item = &'d CoiEvent>,
         obs: ObsAction,
         opts: SubmitOpts,
         ctx: Arc<DispatchCtx>,
@@ -522,17 +505,6 @@ impl ThreadExec {
                 }
             });
         }
-    }
-
-    /// Remember an in-flight completion event, opportunistically pruning
-    /// finished ones so the list stays proportional to actual in-flight
-    /// work.
-    fn track(&self, ev: CoiEvent) {
-        let mut out = self.outstanding.lock();
-        if out.len() >= 64 {
-            out.retain(|e| !e.is_complete());
-        }
-        out.push(ev);
     }
 
     /// Recompute the cached dispatch context after a topology change.

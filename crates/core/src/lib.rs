@@ -183,8 +183,44 @@ enum LoggedOp {
     Sync,
 }
 
-/// A batch item that passed validation, awaiting the windowed phase of
-/// [`HStreams::enqueue_batch_common`].
+impl LoggedOp {
+    /// The source-terms action to replay this op as. Transfer endpoints on
+    /// the `lost` card move to the host: a h2d re-stage becomes an elided
+    /// host alias (the data is already in the source proxy), a d2h result
+    /// lands straight from the host replay of its producer. Syncs replay as
+    /// event waits on `waits`.
+    fn to_action(&self, lost: Option<DomainId>, waits: Vec<Event>) -> BatchAction {
+        let remap = |d: DomainId| if Some(d) == lost { DomainId::HOST } else { d };
+        match self {
+            LoggedOp::Compute {
+                func,
+                args,
+                operands,
+                cost,
+            } => BatchAction::Compute {
+                func: func.clone(),
+                args: args.clone(),
+                operands: operands.clone(),
+                cost: *cost,
+            },
+            LoggedOp::Xfer {
+                buf,
+                range,
+                from,
+                to,
+            } => BatchAction::Xfer {
+                buf: *buf,
+                range: range.clone(),
+                from: remap(*from),
+                to: remap(*to),
+            },
+            LoggedOp::Sync => BatchAction::EventWait { events: waits },
+        }
+    }
+}
+
+/// An action that passed validation ([`HStreams::build_action`]), awaiting
+/// the windowed phase of [`HStreams::enqueue_batch_common`].
 struct BuiltAction {
     spec: ActionSpec,
     footprint: Footprint,
@@ -193,45 +229,33 @@ struct BuiltAction {
     logged: Option<LoggedOp>,
 }
 
-/// Ids reserved for an in-flight batch enqueue. While armed, dropping the
+/// Ids reserved for an in-flight batch enqueue. Until disarmed, dropping the
 /// guard hands every id back as a tombstone ([`EventTable::tombstone_reserved`]);
 /// the success path [`ReservedIds::disarm`]s once publishing is guaranteed.
 /// This is what keeps a failing (or panicking) batch from leaving
 /// reserved-but-never-published slots that stall the retirement watermark.
 struct ReservedIds<'a> {
     events: &'a EventTable,
-    ids: Vec<u64>,
-    armed: bool,
+    ids: EventList,
 }
 
-impl<'a> ReservedIds<'a> {
-    fn new(events: &'a EventTable, cap: usize) -> ReservedIds<'a> {
-        ReservedIds {
-            events,
-            ids: Vec::with_capacity(cap),
-            armed: true,
-        }
-    }
+/// An enqueue's events, index-aligned with its actions. Inline for the
+/// batch of one that every single-action enqueue is: that path stays off
+/// the heap.
+type EventList = small::FirstInline<Event>;
 
-    fn push(&mut self, id: u64) {
-        self.ids.push(id);
-    }
-
-    fn as_slice(&self) -> &[u64] {
-        &self.ids
-    }
-
+impl ReservedIds<'_> {
     /// Take the ids out of the guard; they are now the caller's to publish.
-    fn disarm(mut self) -> Vec<u64> {
-        self.armed = false;
+    fn disarm(mut self) -> EventList {
         std::mem::take(&mut self.ids)
     }
 }
 
 impl Drop for ReservedIds<'_> {
     fn drop(&mut self) {
-        if self.armed && !self.ids.is_empty() {
-            self.events.tombstone_reserved(self.ids.iter().copied());
+        if !self.ids.is_empty() {
+            self.events
+                .tombstone_reserved(self.ids.iter().map(|ev| ev.0));
         }
     }
 }
@@ -1018,50 +1042,27 @@ impl HStreams {
         opts: ActionOpts,
     ) -> HsResult<Event> {
         self.inner.stats.bump("enqueue_compute");
-        self.inner.stats.note_compute();
-        let ev = {
-            let _lo_world = lockorder::acquiring(LockClass::World);
-            let _world = self.inner.world.read();
-            let (spec, footprint) =
-                self.build_compute_spec(s, func, args.clone(), operands, cost)?;
-            let logged = self.log_actions().then(|| LoggedOp::Compute {
-                func: func.to_string(),
-                args,
-                operands: operands.to_vec(),
-                cost,
-            });
-            self.enqueue_common(
-                s,
-                spec,
-                footprint,
-                stream::ActionKind::Normal,
-                &[],
-                opts,
-                logged,
-            )?
+        let action = BatchAction::Compute {
+            func: func.to_string(),
+            args,
+            operands: operands.to_vec(),
+            cost,
         };
-        self.maybe_compact();
-        Ok(ev)
+        self.enqueue_one(s, action, opts)
     }
 
     /// Validate + resolve a compute action against the stream's *current*
-    /// domain (shared by enqueue and card-loss replay, which re-resolves on
-    /// the remapped stream).
+    /// domain (card-loss replay re-resolves on the remapped stream).
     fn build_compute_spec(
         &self,
-        s: StreamId,
-        func: &str,
+        st: &StreamState,
+        func: String,
         args: Bytes,
         operands: &[Operand],
         cost: CostHint,
     ) -> HsResult<(ActionSpec, Footprint)> {
-        let (domain, device, cores) = {
-            let st_arc = self.stream_arc(s)?;
-            let _lo = lockorder::acquiring(LockClass::Stream);
-            let st = st_arc.lock();
-            let dev = self.inner.platform.domains[st.domain.0].device;
-            (st.domain, dev, st.cores())
-        };
+        let (s, domain, cores) = (st.id, st.domain, st.cores());
+        let device = self.inner.platform.domains[domain.0].device;
         // Validate + resolve operands.
         let mut footprint: Footprint = Vec::with_capacity(operands.len());
         let mut bufs: Vec<hs_coi::pipeline::BufAccess> = Vec::new();
@@ -1115,7 +1116,7 @@ impl HStreams {
             stream_idx: s.0 as usize,
             device,
             cores,
-            func: func.to_string(),
+            func,
             args,
             bufs,
             cost,
@@ -1149,35 +1150,17 @@ impl HStreams {
         opts: ActionOpts,
     ) -> HsResult<Event> {
         self.inner.stats.bump("enqueue_xfer");
-        let ev = {
-            let _lo_world = lockorder::acquiring(LockClass::World);
-            let _world = self.inner.world.read();
-            let (spec, footprint) = self.build_xfer_spec(buf, range.clone(), from, to)?;
-            self.inner
-                .stats
-                .note_transfer(range.len() as u64, from == to);
-            let logged = self.log_actions().then_some(LoggedOp::Xfer {
-                buf,
-                range,
-                from,
-                to,
-            });
-            self.enqueue_common(
-                s,
-                spec,
-                footprint,
-                stream::ActionKind::Normal,
-                &[],
-                opts,
-                logged,
-            )?
+        let action = BatchAction::Xfer {
+            buf,
+            range,
+            from,
+            to,
         };
-        self.maybe_compact();
-        Ok(ev)
+        self.enqueue_one(s, action, opts)
     }
 
-    /// Validate + resolve a transfer (shared by enqueue and card-loss
-    /// replay, which rewrites lost-card endpoints to the host first).
+    /// Validate + resolve a transfer (card-loss replay rewrites lost-card
+    /// endpoints to the host first).
     fn build_xfer_spec(
         &self,
         buf: BufferId,
@@ -1269,29 +1252,10 @@ impl HStreams {
     /// mechanism (streams imply nothing about each other by themselves).
     pub fn enqueue_event_wait(&self, s: StreamId, events: &[Event]) -> HsResult<Event> {
         self.inner.stats.bump("enqueue_event_wait");
-        self.inner.stats.note_sync();
-        let ev = {
-            let _lo_world = lockorder::acquiring(LockClass::World);
-            let _world = self.inner.world.read();
-            let known = self.inner.events.len();
-            for e in events {
-                if e.0 >= known {
-                    return Err(HsError::UnknownEvent(*e));
-                }
-            }
-            let logged = self.log_actions().then_some(LoggedOp::Sync);
-            self.enqueue_common(
-                s,
-                ActionSpec::Noop,
-                Vec::new(),
-                stream::ActionKind::EventWait,
-                events,
-                ActionOpts::default(),
-                logged,
-            )?
+        let action = BatchAction::EventWait {
+            events: events.to_vec(),
         };
-        self.maybe_compact();
-        Ok(ev)
+        self.enqueue_one(s, action, ActionOpts::default())
     }
 
     /// Enqueue a stream marker: it completes when **every** action already
@@ -1299,23 +1263,7 @@ impl HStreams {
     /// it (CUDA's `cudaEventRecord` shape; also a full intra-stream fence).
     pub fn enqueue_marker(&self, s: StreamId) -> HsResult<Event> {
         self.inner.stats.bump("enqueue_marker");
-        self.inner.stats.note_sync();
-        let ev = {
-            let _lo_world = lockorder::acquiring(LockClass::World);
-            let _world = self.inner.world.read();
-            let logged = self.log_actions().then_some(LoggedOp::Sync);
-            self.enqueue_common(
-                s,
-                ActionSpec::Noop,
-                Vec::new(),
-                stream::ActionKind::Marker,
-                &[],
-                ActionOpts::default(),
-                logged,
-            )?
-        };
-        self.maybe_compact();
-        Ok(ev)
+        self.enqueue_one(s, BatchAction::Marker, ActionOpts::default())
     }
 
     /// Enqueue a batch of actions on one stream in a single front-end
@@ -1345,100 +1293,109 @@ impl HStreams {
         if actions.is_empty() {
             return Ok(Vec::new());
         }
-        let inner = &*self.inner;
+        Ok(self.enqueue_front(s, actions, opts)?.into_iter().collect())
+    }
+
+    /// A single action is a batch of one.
+    fn enqueue_one(&self, s: StreamId, action: BatchAction, opts: ActionOpts) -> HsResult<Event> {
+        let evs = self.enqueue_front(s, [action], opts)?;
+        Ok(evs
+            .into_iter()
+            .next()
+            .expect("a batch of one yields one event"))
+    }
+
+    /// The one enqueue front door, behind every public enqueue and the
+    /// recovery replay: share the world lock, run the batch engine, then
+    /// the amortized compaction.
+    fn enqueue_front(
+        &self,
+        s: StreamId,
+        actions: impl IntoIterator<Item = BatchAction>,
+        opts: ActionOpts,
+    ) -> HsResult<EventList> {
         let evs = {
             let _lo_world = lockorder::acquiring(LockClass::World);
-            let _world = inner.world.read();
-            // Phase 1: validate + resolve every action before touching the
-            // stream window, so an invalid item enqueues nothing. (EventWait
-            // ids are the exception: they are checked against the table in
-            // phase 2, where the batch's own reservations are visible — see
-            // `enqueue_batch_common`.)
-            let armed = self.log_actions();
-            let mut built: Vec<BuiltAction> = Vec::with_capacity(actions.len());
-            for a in actions {
-                match a {
-                    BatchAction::Compute {
-                        func,
-                        args,
-                        operands,
-                        cost,
-                    } => {
-                        inner.stats.note_compute();
-                        let (spec, footprint) =
-                            self.build_compute_spec(s, &func, args.clone(), &operands, cost)?;
-                        let logged = armed.then_some(LoggedOp::Compute {
-                            func,
-                            args,
-                            operands,
-                            cost,
-                        });
-                        built.push(BuiltAction {
-                            spec,
-                            footprint,
-                            kind: stream::ActionKind::Normal,
-                            waits: Vec::new(),
-                            logged,
-                        });
-                    }
-                    BatchAction::Xfer {
-                        buf,
-                        range,
-                        from,
-                        to,
-                    } => {
-                        let (spec, footprint) =
-                            self.build_xfer_spec(buf, range.clone(), from, to)?;
-                        inner.stats.note_transfer(range.len() as u64, from == to);
-                        let logged = armed.then_some(LoggedOp::Xfer {
-                            buf,
-                            range,
-                            from,
-                            to,
-                        });
-                        built.push(BuiltAction {
-                            spec,
-                            footprint,
-                            kind: stream::ActionKind::Normal,
-                            waits: Vec::new(),
-                            logged,
-                        });
-                    }
-                    BatchAction::Marker => {
-                        inner.stats.note_sync();
-                        built.push(BuiltAction {
-                            spec: ActionSpec::Noop,
-                            footprint: Vec::new(),
-                            kind: stream::ActionKind::Marker,
-                            waits: Vec::new(),
-                            logged: armed.then_some(LoggedOp::Sync),
-                        });
-                    }
-                    BatchAction::EventWait { events } => {
-                        inner.stats.note_sync();
-                        built.push(BuiltAction {
-                            spec: ActionSpec::Noop,
-                            footprint: Vec::new(),
-                            kind: stream::ActionKind::EventWait,
-                            waits: events,
-                            logged: armed.then_some(LoggedOp::Sync),
-                        });
-                    }
-                }
-            }
-            self.enqueue_batch_common(s, built, opts)?
+            let _world = self.inner.world.read();
+            self.enqueue_batch_common(s, &mut actions.into_iter(), opts)?
         };
         self.maybe_compact();
         Ok(evs)
     }
 
-    /// The batched enqueue hot path. Caller holds the world lock (shared)
-    /// and has fully validated `items`. Mirrors [`Self::enqueue_common`]
-    /// exactly in per-item semantics; the difference is amortization:
+    /// The one builder: validate + resolve a source-terms action against
+    /// the stream's *current* domain (card-loss replay re-resolves on the
+    /// remapped stream) and count it by kind. `log` keeps the op for the
+    /// recovery log.
+    fn build_action(
+        &self,
+        st: &StreamState,
+        action: BatchAction,
+        log: bool,
+    ) -> HsResult<BuiltAction> {
+        let stats = &self.inner.stats;
+        let (spec, footprint, kind, waits, logged) = match action {
+            BatchAction::Compute {
+                func,
+                args,
+                operands,
+                cost,
+            } => {
+                stats.note_compute();
+                let logged = log.then(|| LoggedOp::Compute {
+                    func: func.clone(),
+                    args: args.clone(),
+                    operands: operands.clone(),
+                    cost,
+                });
+                let (spec, footprint) = self.build_compute_spec(st, func, args, &operands, cost)?;
+                (spec, footprint, ActionKind::Normal, Vec::new(), logged)
+            }
+            BatchAction::Xfer {
+                buf,
+                range,
+                from,
+                to,
+            } => {
+                let (spec, footprint) = self.build_xfer_spec(buf, range.clone(), from, to)?;
+                stats.note_transfer(range.len() as u64, from == to);
+                let logged = log.then_some(LoggedOp::Xfer {
+                    buf,
+                    range,
+                    from,
+                    to,
+                });
+                (spec, footprint, ActionKind::Normal, Vec::new(), logged)
+            }
+            sync => {
+                stats.note_sync();
+                let (kind, waits) = match sync {
+                    BatchAction::EventWait { events } => (ActionKind::EventWait, events),
+                    _ => (ActionKind::Marker, Vec::new()),
+                };
+                let logged = log.then_some(LoggedOp::Sync);
+                (ActionSpec::Noop, Vec::new(), kind, waits, logged)
+            }
+        };
+        Ok(BuiltAction {
+            spec,
+            footprint,
+            kind,
+            waits,
+            logged,
+        })
+    }
+
+    /// The enqueue engine, for every action: a single enqueue is a batch
+    /// of one. Caller holds the world lock (shared). Per batch:
     ///
     /// * **one** stream-window lock and **one** retirement sweep;
-    /// * per-item dependence analysis is still incremental (item *i* is
-    ///   pushed into the window before item *i+1*'s `find_deps`), but
+    /// * every action is validated + resolved ([`Self::build_action`])
+    ///   before the window is touched, so an invalid item enqueues nothing
+    ///   — event-wait ids are the exception, checked in the windowed loop
+    ///   where the batch's own reservations are visible;
+    /// * per-item dependence analysis is incremental (item *i* is pushed
+    ///   into the window before item *i+1*'s `find_deps`), and
     ///   dependences on the batch's own items resolve to
     ///   [`exec::BatchDep::Internal`] — no event-table round-trip;
     /// * **one** executor hand-off ([`Executor::submit_batch`]);
@@ -1448,9 +1405,9 @@ impl HStreams {
     fn enqueue_batch_common(
         &self,
         s: StreamId,
-        items: Vec<BuiltAction>,
+        actions: &mut dyn Iterator<Item = BatchAction>,
         opts: ActionOpts,
-    ) -> HsResult<Vec<Event>> {
+    ) -> HsResult<EventList> {
         let inner = &*self.inner;
         let st_arc = self.stream_arc(s)?;
         let submit_opts = self.submit_opts(&opts);
@@ -1465,8 +1422,18 @@ impl HStreams {
             }
         };
         st.retire(|e| self.event_retired_ok(e));
-        // Hold the recorder across the whole batch: its ops land in the
-        // trace as one contiguous ascending id run.
+        // Phase 1: validate + resolve under the window lock (lock order
+        // Stream → Buffers), which also spares a compute a second stream
+        // lookup and lock just to read its domain.
+        let log = self.log_actions();
+        let mut items = small::FirstInline::with_capacity(actions.size_hint().0);
+        for a in actions {
+            items.push(self.build_action(&st, a, log)?);
+        }
+        // While an hsan recording is live, hold the recorder from id mint
+        // to trace push: the batch's ops land in the trace as one
+        // contiguous ascending id run, at the cost of serializing
+        // concurrent enqueues for the recording's duration.
         #[cfg(feature = "hsan-record")]
         let (_lo_rec, mut rec_guard) = if inner.recording.load(Ordering::Acquire) {
             let lo = lockorder::acquiring(LockClass::Recorder);
@@ -1479,14 +1446,16 @@ impl HStreams {
         // wait validation below) or panics, every id reserved so far is
         // handed back as a tombstone — a reserved-but-never-published slot
         // would otherwise stall the retirement watermark forever.
-        let mut ids = ReservedIds::new(&inner.events, n);
-        let mut batch: Vec<exec::BatchSubmitItem> = Vec::with_capacity(n);
+        let mut ids = ReservedIds {
+            events: &inner.events,
+            ids: EventList::with_capacity(n),
+        };
+        let mut batch = small::FirstInline::with_capacity(n);
         let mut logs: Vec<LoggedAction> = Vec::new();
         #[cfg(feature = "hsan-record")]
         let mut rec_buf: Vec<record::ActionRecord> = Vec::new();
-        let mut abort: Option<HsError> = None;
         let mut dep_events = DepList::new();
-        'items: for item in items {
+        for item in items {
             let BuiltAction {
                 spec,
                 footprint,
@@ -1498,21 +1467,28 @@ impl HStreams {
             // items have already reserved their slots by now, so a failure
             // at item i > 0 genuinely exercises the tombstone guard (and
             // the table can only have grown since phase 1, so nothing that
-            // would have passed there fails here).
-            for e in &waits {
-                if e.0 >= inner.events.len() {
-                    abort = Some(HsError::UnknownEvent(*e));
-                    break 'items;
-                }
+            // would have passed there fails here). All-or-nothing: nothing
+            // was submitted (submit_batch is below) and nothing published.
+            // Returning drops the guard, which tombstones every reserved
+            // id, so earlier items' window entries read as retired
+            // (completed success — no dependence edges form on them) and
+            // the next retire sweep clears them.
+            if let Some(e) = waits.iter().find(|e| e.0 >= inner.events.len()) {
+                return Err(HsError::UnknownEvent(*e));
             }
+            // EventWait actions depend on the awaited events plus the
+            // pending sync barrier, if any (out-of-order mode: the wait
+            // replaces `last_barrier`, so it must chain on the old one or a
+            // marker's gate would be severed for post-wait actions) — and
+            // under StrictFifo on the stream's previous action, or the
+            // strict chain would break at every wait (the wait could
+            // complete before its predecessor, releasing the successor
+            // early). Markers depend on everything pending; normal actions
+            // on their operand conflicts (or the chain, in strict mode).
             dep_events.clear();
             let redundant = match kind {
                 stream::ActionKind::EventWait => match inner.ordering {
                     OrderingMode::OutOfOrder => {
-                        // Chain on the pending barrier: the wait will
-                        // replace it as `last_barrier`, and without this
-                        // edge a marker's gate would be severed for every
-                        // action enqueued after the wait.
                         dep_events.extend_from_slice(st.sync_chain().as_slice());
                         0
                     }
@@ -1535,9 +1511,9 @@ impl HStreams {
             // Intra-batch dependences point at reserved-but-unpublished
             // slots; route them straight to the batch's own completion
             // events. Everything else resolves through the table as usual.
-            let mut deps: Vec<exec::BatchDep> = Vec::with_capacity(dep_events.len());
+            let mut deps = small::FirstInline::with_capacity(dep_events.len());
             for e in dep_events.iter() {
-                if let Some(j) = ids.as_slice().iter().position(|&id| id == e.0) {
+                if let Some(j) = ids.ids.iter().position(|id| id == e) {
                     deps.push(exec::BatchDep::Internal(j));
                     continue;
                 }
@@ -1545,12 +1521,20 @@ impl HStreams {
                     EventView::Live(be, _) => deps.push(exec::BatchDep::External(be)),
                     // Tombstoned = completed success: nothing to wait on.
                     EventView::Retired(_) => {}
+                    // Only reachable for waits validated against
+                    // `events.len()` whose slot is mid-publish on another
+                    // thread. Such an event cannot be a dependence source
+                    // (its enqueue has not returned); intra-stream deps are
+                    // always published (same stream lock).
                     EventView::Missing => {}
                 }
             }
             let id = inner.events.reserve();
             let ev = Event(id);
-            let obs = self.mint_obs_at(s, &spec, &footprint, now_ns);
+            // The lifecycle record must be minted *before* submit: the spec
+            // is consumed, and the fast path dispatches (emitting later
+            // phases) inside submit itself.
+            let obs = self.mint_obs(s, &spec, &footprint, now_ns);
             if let Some(op) = logged {
                 logs.push(LoggedAction {
                     ev: id,
@@ -1581,7 +1565,7 @@ impl HStreams {
                     waits: waits.iter().map(|e| e.0).collect(),
                 });
             }
-            ids.push(id);
+            ids.ids.push(ev);
             batch.push(exec::BatchSubmitItem {
                 spec,
                 deps,
@@ -1590,15 +1574,6 @@ impl HStreams {
             });
             // Window the item *now* so the next item's find_deps sees it.
             st.push(ev, footprint, kind);
-        }
-        if let Some(err) = abort {
-            // All-or-nothing: nothing was submitted (submit_batch is below)
-            // and nothing published. Dropping the guard tombstones every
-            // reserved id, so earlier items' window entries read as retired
-            // (completed success — no dependence edges form on them) and
-            // the next retire sweep clears them.
-            drop(ids);
-            return Err(err);
         }
         let ids = ids.disarm();
         #[cfg(feature = "hsan-record")]
@@ -1614,33 +1589,26 @@ impl HStreams {
         // dependents ahead of their producers, inverting the observed
         // completion order.
         #[cfg(feature = "hsan-record")]
-        let comp_log = rec_guard
-            .as_ref()
-            .and_then(|g| g.as_ref())
-            .map(|rec| rec.completions.clone());
-        #[cfg(feature = "hsan-record")]
-        let ids_ref: &[u64] = &ids;
-        #[cfg(feature = "hsan-record")]
-        let track = comp_log
-            .as_ref()
-            .map(|log| move |i: usize, ce: &hs_coi::CoiEvent| log.track(ce, ids_ref[i]));
-        #[cfg(feature = "hsan-record")]
-        let backends = inner.exec.submit_batch(
-            batch,
-            track
-                .as_ref()
-                .map(|t| t as &dyn Fn(usize, &hs_coi::CoiEvent)),
-        );
+        let track = rec_guard.as_ref().and_then(|g| g.as_ref()).map(|rec| {
+            let ids = &ids;
+            move |i: usize, ce: &hs_coi::CoiEvent| {
+                if let Some(ev) = ids.get(i) {
+                    rec.completions.track(ce, ev.0);
+                }
+            }
+        });
         #[cfg(not(feature = "hsan-record"))]
-        let backends = inner.exec.submit_batch(batch, None);
+        let track: Option<fn(usize, &hs_coi::CoiEvent)> = None;
+        let observe = track.as_ref().map(|t| t as exec::BatchObserver<'_>);
+        let backends = inner.exec.submit_batch(batch, observe);
         if !logs.is_empty() {
             with_class(LockClass::Recovery, || inner.recovery.lock().extend(logs));
         }
         // Phase 4: publish everything before the stream lock drops.
-        for (id, be) in ids.iter().zip(backends) {
-            inner.events.publish(*id, s, be);
+        for (ev, be) in ids.iter().zip(backends) {
+            inner.events.publish(ev.0, s, be);
         }
-        Ok(ids.into_iter().map(Event).collect())
+        Ok(ids)
     }
 
     /// The stream that produced an event.
@@ -1690,7 +1658,9 @@ impl HStreams {
         if cross.is_empty() {
             return Ok(None);
         }
-        Ok(Some(self.enqueue_event_wait(s, &cross)?))
+        self.inner.stats.bump("enqueue_event_wait");
+        let action = BatchAction::EventWait { events: cross };
+        Ok(Some(self.enqueue_one(s, action, ActionOpts::default())?))
     }
 
     /// Has this event's action completed **successfully**? This is the
@@ -1706,152 +1676,13 @@ impl HStreams {
             .retired_ok(e, |be| self.inner.exec.completed_ok(be))
     }
 
-    /// The enqueue hot path. Caller holds the world lock (shared).
-    #[allow(clippy::too_many_arguments)]
-    fn enqueue_common(
-        &self,
-        s: StreamId,
-        spec: ActionSpec,
-        footprint: Footprint,
-        kind: stream::ActionKind,
-        extra_events: &[Event],
-        opts: ActionOpts,
-        logged: Option<LoggedOp>,
-    ) -> HsResult<Event> {
-        let inner = &*self.inner;
-        let st_arc = self.stream_arc(s)?;
-        // Fine-grained per-stream window: contention here means multiple
-        // source threads feed the *same* stream (distinct streams never
-        // touch each other's locks on this path).
-        let _lo_stream = lockorder::acquiring(LockClass::Stream);
-        let mut st = match st_arc.try_lock() {
-            Some(g) => g,
-            None => {
-                inner.contended.incr();
-                st_arc.lock()
-            }
-        };
-        st.retire(|e| self.event_retired_ok(e));
-        // EventWait actions depend on the awaited events plus the pending
-        // sync barrier, if any (out-of-order mode: the wait replaces
-        // `last_barrier`, so it must chain on the old one or a marker's
-        // gate would be severed for post-wait actions) — and under
-        // StrictFifo on the stream's previous action, or the strict chain
-        // would break at every wait (the wait could complete before its
-        // predecessor, releasing the successor early). Markers depend on
-        // everything pending; normal actions on their operand conflicts
-        // (or the chain, in strict mode).
-        let mut dep_events = DepList::new();
-        let redundant = match kind {
-            stream::ActionKind::EventWait => match inner.ordering {
-                OrderingMode::OutOfOrder => {
-                    dep_events.extend_from_slice(st.sync_chain().as_slice());
-                    0
-                }
-                OrderingMode::StrictFifo => {
-                    st.find_deps(&footprint, false, inner.ordering, &mut dep_events)
-                }
-            },
-            stream::ActionKind::Marker => {
-                st.find_deps(&footprint, true, inner.ordering, &mut dep_events)
-            }
-            stream::ActionKind::Normal => {
-                st.find_deps(&footprint, false, inner.ordering, &mut dep_events)
-            }
-        };
-        if redundant != 0 {
-            inner.redundant.add(redundant);
-        }
-        dep_events.extend_from_slice(extra_events);
-        dep_events.sort_dedup();
-        small::with_be_scratch(|bes| {
-            for e in dep_events.iter() {
-                match inner.events.view(*e) {
-                    EventView::Live(be, _) => bes.push(be),
-                    // Tombstoned = completed success: nothing to wait on.
-                    EventView::Retired(_) => {}
-                    // Only reachable for extra_events validated against
-                    // `events.len()` whose slot is mid-publish on another
-                    // thread — which implies the event is not complete;
-                    // treat like a completed dep is wrong, but such an
-                    // event cannot be a *dependence source* either (its
-                    // enqueue has not returned). Intra-stream deps are
-                    // always published (same stream lock).
-                    EventView::Missing => {}
-                }
-            }
-            // While an hsan recording is live, hold the recorder from id
-            // mint to trace push: ops stay in ascending event order, at the
-            // cost of serializing concurrent enqueues for the recording's
-            // duration.
-            #[cfg(feature = "hsan-record")]
-            let (_lo_rec, mut rec_guard) = if inner.recording.load(Ordering::Acquire) {
-                let lo = lockorder::acquiring(LockClass::Recorder);
-                (Some(lo), Some(inner.recorder.lock()))
-            } else {
-                (None, None)
-            };
-            let id = inner.events.reserve();
-            let ev = Event(id);
-            #[cfg(feature = "hsan-record")]
-            let label = rec_guard
-                .as_ref()
-                .map(|_| spec.label().to_string())
-                .unwrap_or_default();
-            // The lifecycle record must be minted *before* submit: the spec
-            // is consumed, and the fast path dispatches (emitting later
-            // phases) inside submit itself.
-            let obs = self.mint_obs(s, &spec, &footprint);
-            let submit_opts = self.submit_opts(&opts);
-            let backend = inner.exec.submit(spec, bes, obs, submit_opts);
-            if let Some(op) = logged {
-                with_class(LockClass::Recovery, || {
-                    inner.recovery.lock().push(LoggedAction {
-                        ev: id,
-                        stream: s,
-                        op,
-                        deps: dep_events.iter().map(|e| e.0).collect(),
-                        wrote: footprint
-                            .iter()
-                            .filter(|f| f.write)
-                            .map(|f| f.domain.0)
-                            .collect(),
-                        retry: submit_opts.retry,
-                    })
-                });
-            }
-            #[cfg(feature = "hsan-record")]
-            if let Some(rec) = rec_guard.as_mut().and_then(|g| g.as_mut()) {
-                if let BackendEvent::Thread(ce) = &backend {
-                    rec.completions.track(ce, id);
-                }
-                rec.push(record::TraceOp::Enqueue(record::ActionRecord {
-                    event: id,
-                    stream: s.0,
-                    kind,
-                    label,
-                    footprint: footprint.clone(),
-                    waits: extra_events.iter().map(|e| e.0).collect(),
-                }));
-            }
-            inner.events.publish(id, s, backend);
-            st.push(ev, footprint, kind);
-            Ok(ev)
-        })
-    }
-
     /// Build the lifecycle record for an action about to be submitted.
     /// Returns an inert handle (no allocation beyond the `Option`) when
-    /// tracing is off.
-    fn mint_obs(&self, s: StreamId, spec: &ActionSpec, footprint: &Footprint) -> ObsAction {
-        self.mint_obs_at(s, spec, footprint, None)
-    }
-
-    /// [`Self::mint_obs`] with an optional pre-captured source timestamp:
-    /// a batch stamps all its actions with one `source_now_ns` reading
+    /// tracing is off. `now_ns` is a pre-captured source timestamp: a
+    /// batch stamps all its actions with one `source_now_ns` reading
     /// instead of one clock round-trip (and, in sim mode, one executor
     /// lock) per action.
-    fn mint_obs_at(
+    fn mint_obs(
         &self,
         s: StreamId,
         spec: &ActionSpec,
@@ -2045,6 +1876,15 @@ impl HStreams {
         }
     }
 
+    /// Log a successful host wait as a replay barrier on the WAL's meta
+    /// partition (see [`durable::barrier_phases`]). No-op when durability
+    /// is off, and when nothing was logged since the last barrier.
+    fn wal_barrier(&self) {
+        if self.wal().is_some() {
+            with_class(LockClass::Recovery, || self.inner.recovery.lock().barrier());
+        }
+    }
+
     /// At a quiesce point — every reserved event retired — snapshot all
     /// buffer instantiations into a checkpoint blob and retire WAL segments
     /// below the watermark. `force` skips the appended-bytes throttle (test
@@ -2100,52 +1940,6 @@ impl HStreams {
         out
     }
 
-    /// Write a checkpoint's buffer bytes back into the live instantiations
-    /// (thread mode) or the host shadow map (sim mode). Mismatches — a
-    /// buffer or instantiation the restarted application did not recreate —
-    /// are noted and skipped, never fatal.
-    fn wal_overlay_checkpoint(&self, bufs: &[(u64, u32, Vec<u8>)]) {
-        for (id, domain, bytes) in bufs {
-            let buf = BufferId(*id);
-            let dom = DomainId(*domain as usize);
-            match &self.inner.exec {
-                Executor::Thread(t) => {
-                    let _lo = lockorder::acquiring(LockClass::Buffers);
-                    let buffers = self.inner.buffers.read();
-                    let mem = buffers
-                        .get(buf)
-                        .ok()
-                        .filter(|rec| rec.len == bytes.len())
-                        .and_then(|rec| rec.window(dom).ok())
-                        .and_then(|w| t.coi().fabric().window(w.id()));
-                    let ok = match &mem {
-                        Some(mem) => match mem.lock_range(0..bytes.len(), true) {
-                            Ok(mut g) => {
-                                g.as_mut_slice().copy_from_slice(bytes);
-                                true
-                            }
-                            Err(_) => false,
-                        },
-                        None => false,
-                    };
-                    if !ok {
-                        self.inner.chaos.note(format!(
-                            "recover: checkpoint overlay skipped buf {id} domain {domain} \
-                             (not recreated or size mismatch)"
-                        ));
-                    }
-                }
-                Executor::Sim(_) => {
-                    if dom.is_host() {
-                        with_class(LockClass::SimShadow, || {
-                            self.inner.sim_shadow.lock().insert(buf, bytes.clone())
-                        });
-                    }
-                }
-            }
-        }
-    }
-
     /// Enable durable action logging into a fresh run directory under
     /// `root`. Must be called before any action is enqueued; from then on
     /// every enqueue appends a checksummed record to a per-stream WAL
@@ -2162,20 +1956,7 @@ impl HStreams {
     /// here over an old root would be destroyed by the next recovery.
     /// Recover the old run first, or point at a clean root.
     pub fn durability(&self, root: impl AsRef<std::path::Path>) -> HsResult<u64> {
-        let root = root.as_ref();
-        let runs = durable::list_runs(root)
-            .map_err(|e| HsError::ExecFailed(format!("wal: listing {}: {e}", root.display())))?;
-        if let Some((id, _)) = runs.first() {
-            return Err(HsError::InvalidArg(format!(
-                "durability: {} already holds run {:016x} — recover() it or use a fresh \
-                 root (recover treats the oldest run as authoritative and deletes newer ones)",
-                root.display(),
-                id
-            )));
-        }
-        let run_id = durable::fresh_run_id();
-        self.enable_durability(root, run_id, hs_wal::WalOptions::default())?;
-        Ok(run_id)
+        self.durability_opts(root, false, 0)
     }
 
     /// [`HStreams::durability`] with explicit media-durability knobs:
@@ -2265,224 +2046,6 @@ impl HStreams {
         self.wal().map(|w| w.stats())
     }
 
-    /// Recover a crashed durable run from `root`: scan the oldest run
-    /// directory's segments (tolerating torn tails), overlay its checkpoint
-    /// blob, and re-enqueue every un-retired action through the normal
-    /// paths — re-logged into a fresh run directory, so recovery itself is
-    /// crash-safe (an interrupted recovery leaves the source run intact and
-    /// a partial newer generation that the next recovery deletes).
-    ///
-    /// Call on a freshly initialized runtime after recreating the same
-    /// kernels, streams and buffers the crashed run had (ids are assigned
-    /// in creation order, so "the same init code" suffices). `buffer_write`
-    /// is *not* logged — the restarted process re-applies its initial
-    /// buffer contents as part of that init, except for state a checkpoint
-    /// overlay restores. Afterwards the runtime is live and durable;
-    /// `stream_synchronize`/`event_wait` the replayed work as usual.
-    pub fn recover(&self, root: impl AsRef<std::path::Path>) -> HsResult<durable::RecoveryReport> {
-        let root = root.as_ref();
-        if self.inner.events.len() != 0 {
-            return Err(HsError::InvalidArg(
-                "recover requires a fresh runtime (no actions enqueued)".into(),
-            ));
-        }
-        let runs = durable::list_runs(root).map_err(|e| {
-            HsError::ExecFailed(format!("recover: listing {}: {e}", root.display()))
-        })?;
-        let Some((src_id, src_dir)) = runs.first().cloned() else {
-            return Err(HsError::InvalidArg(format!(
-                "recover: no run directories under {}",
-                root.display()
-            )));
-        };
-        // Newer runs are partial re-logs from an interrupted recovery —
-        // nothing else can mint a run over a non-empty root, because
-        // `durability()` refuses one. The oldest run is authoritative.
-        for (_, dir) in &runs[1..] {
-            let _ = std::fs::remove_dir_all(dir);
-        }
-        let scanned = hs_wal::recover_dir(&src_dir).map_err(|e| {
-            HsError::ExecFailed(format!("recover: scanning {}: {e}", src_dir.display()))
-        })?;
-        let ckpt = hs_wal::read_blob(&src_dir.join("checkpoint.blob"))
-            .map_err(|e| HsError::ExecFailed(format!("recover: checkpoint: {e}")))?
-            .and_then(|b| durable::decode_checkpoint(&b));
-        let mut report = durable::RecoveryReport {
-            run_id: src_id,
-            torn: scanned.torn,
-            checkpoint_watermark: ckpt.as_ref().map(|(wm, _)| *wm),
-            ..Default::default()
-        };
-        let wm = ckpt.as_ref().map_or(0, |(wm, _)| *wm);
-        // Split the scan into meta records (prior failure history) and
-        // replayable actions above the checkpoint watermark.
-        let mut actions: Vec<LoggedAction> = Vec::new();
-        for r in scanned.records {
-            if r.partition == hs_wal::META_PARTITION {
-                if let Some(cause) = FailureCause::decode(&r.payload) {
-                    report.prior_failures.push(cause);
-                }
-                continue;
-            }
-            if r.ev < wm {
-                report.checkpointed += 1;
-                continue;
-            }
-            match durable::decode_action(r.ev, StreamId(r.partition), &r.payload) {
-                Some(la) => actions.push(la),
-                None => {
-                    report.skipped += 1;
-                    self.inner.chaos.note(format!(
-                        "recover: undecodable record ev {} on stream {}",
-                        r.ev, r.partition
-                    ));
-                }
-            }
-        }
-        report.records = actions.len() as u32;
-        // Re-log into a fresh generation, strictly newer than the source.
-        let new_id = durable::fresh_run_id().max(src_id + 1);
-        self.enable_durability(root, new_id, hs_wal::WalOptions::default())?;
-        let mut ckpt_persisted = true;
-        if let Some((_, bufs)) = &ckpt {
-            self.wal_overlay_checkpoint(bufs);
-            // Persist the overlaid state into the new generation *now*:
-            // the source checkpoint is the only copy of the pre-watermark
-            // buffer state (its log records were retired), so until the
-            // new run carries it on disk, that state exists solely in
-            // memory — a second crash before the new generation's first
-            // throttled checkpoint would replay the tail against
-            // init-state buffers. Watermark 0: every re-logged record of
-            // the new generation is above it.
-            ckpt_persisted = self.wal().is_some_and(|w| w.checkpoint(0, bufs));
-        }
-        self.replay_recovered(actions, &mut report);
-        self.wal_flush();
-        if ckpt_persisted {
-            // The new generation now carries everything; drop the source.
-            let _ = std::fs::remove_dir_all(&src_dir);
-        } else {
-            // Could not write the checkpoint into the new run (durability
-            // already noted as lost): keep the source run — it is still
-            // the only durable copy of the pre-watermark state, and a
-            // later recover() will pick it (the oldest) again.
-            self.inner.chaos.note(format!(
-                "recover: checkpoint not persisted into run {new_id:016x}; \
-                 keeping source run {src_id:016x}"
-            ));
-        }
-        Ok(report)
-    }
-
-    /// Re-enqueue recovered actions. Per-partition WAL order is per-stream
-    /// enqueue order, so each stream replays as a FIFO queue; streams
-    /// round-robin so cross-stream `Sync` dependences can resolve. Compute
-    /// and transfer actions re-derive their intra-stream dependences from
-    /// operands at enqueue; only `Sync` actions carry explicit (old-id)
-    /// dependences, which are mapped to the replayed events — a dependence
-    /// absent from the recovered set was complete before the crash and is
-    /// dropped.
-    fn replay_recovered(&self, actions: Vec<LoggedAction>, report: &mut durable::RecoveryReport) {
-        use std::collections::{HashMap, HashSet, VecDeque};
-        let retained: HashSet<u64> = actions.iter().map(|la| la.ev).collect();
-        let mut queues: std::collections::BTreeMap<u32, VecDeque<LoggedAction>> =
-            std::collections::BTreeMap::new();
-        for la in actions {
-            queues.entry(la.stream.0).or_default().push_back(la);
-        }
-        let mut mapped: HashMap<u64, Event> = HashMap::new();
-        let mut resolved: HashSet<u64> = HashSet::new();
-        let mut force = false;
-        loop {
-            if queues.values().all(|q| q.is_empty()) {
-                break;
-            }
-            let mut progress = false;
-            for q in queues.values_mut() {
-                while let Some(front) = q.front() {
-                    let ready = force
-                        || match &front.op {
-                            LoggedOp::Sync => front
-                                .deps
-                                .iter()
-                                .all(|d| !retained.contains(d) || resolved.contains(d)),
-                            _ => true,
-                        };
-                    if !ready {
-                        break;
-                    }
-                    let la = q.pop_front().expect("front just observed");
-                    let opts = ActionOpts {
-                        deadline: None,
-                        retry: Some(la.retry),
-                    };
-                    let res = match la.op {
-                        LoggedOp::Compute {
-                            func,
-                            args,
-                            operands,
-                            cost,
-                        } => self
-                            .enqueue_compute_opts(la.stream, &func, args, &operands, cost, opts)
-                            .map(Some),
-                        LoggedOp::Xfer {
-                            buf,
-                            range,
-                            from,
-                            to,
-                        } => self
-                            .enqueue_xfer_opts(la.stream, buf, range, from, to, opts)
-                            .map(Some),
-                        LoggedOp::Sync => {
-                            let deps: Vec<Event> = la
-                                .deps
-                                .iter()
-                                .filter_map(|d| mapped.get(d).copied())
-                                .collect();
-                            if deps.is_empty() {
-                                // Every awaited event predates the recovered
-                                // set: the wait is satisfied by construction.
-                                Ok(None)
-                            } else {
-                                self.enqueue_event_wait(la.stream, &deps).map(Some)
-                            }
-                        }
-                    };
-                    resolved.insert(la.ev);
-                    match res {
-                        Ok(ev) => {
-                            if let Some(ev) = ev {
-                                mapped.insert(la.ev, ev);
-                            }
-                            report.replayed += 1;
-                        }
-                        Err(e) => {
-                            report.skipped += 1;
-                            self.inner
-                                .chaos
-                                .note(format!("recover: replay of ev {} failed: {e}", la.ev));
-                        }
-                    }
-                    progress = true;
-                }
-            }
-            // A full round without progress means a dependence cycle through
-            // records the log cannot express (or deps on skipped records):
-            // force the fronts through with whatever dependences resolved.
-            if !progress {
-                if force {
-                    break;
-                }
-                force = true;
-                self.inner
-                    .chaos
-                    .note("recover: forcing stuck replay fronts".to_string());
-            } else {
-                force = false;
-            }
-        }
-    }
-
     // ---------------------------------------------------------------- waits
 
     /// Wait for one event, running card-loss degradation (and re-waiting on
@@ -2528,14 +2091,18 @@ impl HStreams {
     pub fn event_wait(&self, ev: Event) -> HsResult<()> {
         self.inner.stats.bump("event_wait");
         self.wal_flush();
-        self.wait_event_recovering(ev)
+        self.wait_event_recovering(ev)?;
+        self.wal_barrier();
+        Ok(())
     }
 
     /// Wait for all events.
     pub fn event_wait_all(&self, evs: &[Event]) -> HsResult<()> {
         self.inner.stats.bump("event_wait_all");
         self.wal_flush();
-        self.wait_events_recovering(evs)
+        self.wait_events_recovering(evs)?;
+        self.wal_barrier();
+        Ok(())
     }
 
     /// Wait until any of the events *succeeds*; returns its index. Errors
@@ -2562,12 +2129,18 @@ impl HStreams {
                         return Err(HsError::UnknownEvent(*ev));
                     }
                     // Tombstoned = already a success.
-                    EventView::Retired(_) => return Ok(i),
+                    EventView::Retired(_) => {
+                        self.wal_barrier();
+                        return Ok(i);
+                    }
                     EventView::Live(be, _) => bes.push(be),
                 }
             }
             match self.inner.exec.wait_any(&bes) {
-                Ok(i) => return Ok(i),
+                Ok(i) => {
+                    self.wal_barrier();
+                    return Ok(i);
+                }
                 Err(c) => {
                     if self.try_degrade(&c, gen)? {
                         continue; // replayed events may yet succeed
@@ -2748,10 +2321,11 @@ impl HStreams {
 
     /// Select and re-submit the actions invalidated by losing `dom`: every
     /// failed action, plus (transitively) its dependence producers whose
-    /// results lived on the lost card. Replays run in original event-id
-    /// order and overwrite the event-table slot in place, so
-    /// application-held [`Event`] handles transparently track the replayed
-    /// attempt.
+    /// results lived on the lost card. The set is submitted as one batch in
+    /// recovery-log order with its recorded dependences, and each replay
+    /// overwrites its event-table slot in place, so application-held
+    /// [`Event`] handles transparently track the replayed attempt. A build
+    /// error submits nothing.
     fn replay_after_loss(&self, dom: DomainId) -> HsResult<u32> {
         let inner = &*self.inner;
         // Snapshot under a short lock; the rest of the replay touches
@@ -2793,54 +2367,50 @@ impl HStreams {
                 }
             }
         }
-        let mut replayed = 0u32;
-        for i in (0..n).filter(|&i| in_set[i]) {
-            let la = &log[i];
-            let s = la.stream;
-            let (spec, footprint) = match &la.op {
-                LoggedOp::Compute {
-                    func,
-                    args,
-                    operands,
-                    cost,
-                } => self.build_compute_spec(s, func, args.clone(), operands, *cost)?,
-                LoggedOp::Xfer {
-                    buf,
-                    range,
-                    from,
-                    to,
-                } => {
-                    // Lost-card endpoints move to the host: a h2d re-stage
-                    // becomes an elided host alias (the data is already in
-                    // the source proxy), a d2h result lands straight from
-                    // the host replay of its producer.
-                    let remap = |d: DomainId| if d == dom { DomainId::HOST } else { d };
-                    self.build_xfer_spec(*buf, range.clone(), remap(*from), remap(*to))?
-                }
-                LoggedOp::Sync => (ActionSpec::Noop, Vec::new()),
+        // One all-or-nothing submission, built through the enqueue builder
+        // before anything is submitted. Producers inside the set resolve to
+        // their replayed attempts; untouched producers are complete
+        // (quiesced) successes — including tombstoned ones, which need no
+        // backend handle at all.
+        let set: Vec<&LoggedAction> = (0..n).filter(|&i| in_set[i]).map(|i| &log[i]).collect();
+        let now_ns = inner.obs.is_enabled().then(|| self.source_now_ns());
+        let mut pos: std::collections::HashMap<u64, usize> = std::collections::HashMap::new();
+        let mut items = small::FirstInline::with_capacity(set.len());
+        for la in &set {
+            let action = la.op.to_action(Some(dom), Vec::new());
+            let built = {
+                let st_arc = self.stream_arc(la.stream)?;
+                let _lo_stream = lockorder::acquiring(LockClass::Stream);
+                let st = st_arc.lock();
+                self.build_action(&st, action, false)?
             };
-            // Ascending id order means replayed dependences already point at
-            // their replayed events; untouched dependences are complete
-            // (quiesced) successes — including tombstoned ones, which need
-            // no backend handle at all.
-            let deps: Vec<BackendEvent> = la
+            let deps = la
                 .deps
                 .iter()
-                .filter_map(|d| match inner.events.view_id(*d) {
-                    EventView::Live(be, _) => Some(be),
-                    _ => None,
+                .filter_map(|d| match pos.get(d) {
+                    Some(&j) => Some(exec::BatchDep::Internal(j)),
+                    None => match inner.events.view_id(*d) {
+                        EventView::Live(be, _) => Some(exec::BatchDep::External(be)),
+                        _ => None,
+                    },
                 })
                 .collect();
-            let obs = self.mint_obs(s, &spec, &footprint);
-            let opts = SubmitOpts {
-                deadline_ns: None,
-                retry: la.retry,
-            };
-            let backend = inner.exec.submit(spec, &deps, obs, opts);
-            inner.events.overwrite(la.ev, backend);
-            replayed += 1;
+            pos.insert(la.ev, items.len());
+            items.push(exec::BatchSubmitItem {
+                obs: self.mint_obs(la.stream, &built.spec, &built.footprint, now_ns),
+                spec: built.spec,
+                deps,
+                opts: SubmitOpts {
+                    deadline_ns: None,
+                    retry: la.retry,
+                },
+            });
         }
-        Ok(replayed)
+        let backends = inner.exec.submit_batch(items, None);
+        for (la, be) in set.iter().zip(backends) {
+            inner.events.overwrite(la.ev, be);
+        }
+        Ok(set.len() as u32)
     }
 
     /// Resolve per-action options against the armed plan's defaults.
@@ -2889,6 +2459,7 @@ impl HStreams {
         // *while it ran*; their records may postdate the entry flush, so
         // flush again — nothing observed complete here returns unflushed.
         self.wal_flush();
+        self.wal_barrier();
         Ok(())
     }
 

@@ -1,12 +1,13 @@
 //! Allocation-lean helpers for the enqueue hot path: an inline-first small
-//! vector for dependence lists and thread-local reusable scratch for the
-//! backend-event collection in `enqueue_common`.
+//! vector for dependence lists, and a first-item-inline sequence for the
+//! per-batch lists of the enqueue engine.
 //!
 //! The enqueue fast path runs once per action; with typical dependence
 //! fan-in well under eight events, the inline array keeps the whole
-//! find-deps → sort → dedup → collect pipeline off the heap.
-
-use std::cell::RefCell;
+//! find-deps → sort → dedup → collect pipeline off the heap. Every
+//! single-action enqueue is a batch of one, so the engine's per-batch
+//! lists (actions, ids, submissions, completion events) keep their first
+//! item inline and allocate only for a second.
 
 /// A vector of `Copy` items that stores up to `N` of them inline and spills
 /// to a contiguous heap `Vec` beyond that. Unlike a fragmented
@@ -123,23 +124,77 @@ impl<T: Copy + Default, const N: usize> Default for SmallVec<T, N> {
     }
 }
 
-thread_local! {
-    /// Reusable buffer for the per-enqueue backend-dependence collection.
-    static BE_SCRATCH: RefCell<Vec<crate::exec::BackendEvent>> = const { RefCell::new(Vec::new()) };
+/// A sequence whose first item lives inline; the rest go to a `Vec` that
+/// allocates only when a second item arrives. Unlike [`SmallVec`] it holds
+/// non-`Copy` items (actions, backend events), at the price of a
+/// non-contiguous layout: index with [`FirstInline::get`].
+pub struct FirstInline<T> {
+    first: Option<T>,
+    rest: Vec<T>,
 }
 
-/// Run `f` with a cleared, thread-local scratch `Vec<BackendEvent>`. The
-/// allocation is reused across enqueues on the same source thread. Falls
-/// back to a fresh vector if re-entered (defensive; the enqueue path does
-/// not recurse).
-pub(crate) fn with_be_scratch<R>(f: impl FnOnce(&mut Vec<crate::exec::BackendEvent>) -> R) -> R {
-    BE_SCRATCH.with(|c| match c.try_borrow_mut() {
-        Ok(mut v) => {
-            v.clear();
-            f(&mut v)
+impl<T> FirstInline<T> {
+    /// Room for `cap` items, allocating only for those past the first.
+    pub fn with_capacity(cap: usize) -> FirstInline<T> {
+        FirstInline {
+            first: None,
+            rest: Vec::with_capacity(cap.saturating_sub(1)),
         }
-        Err(_) => f(&mut Vec::new()),
-    })
+    }
+
+    pub fn push(&mut self, v: T) {
+        // `first` is empty only while the whole sequence is.
+        if self.first.is_none() {
+            self.first = Some(v);
+        } else {
+            self.rest.push(v);
+        }
+    }
+
+    pub fn len(&self) -> usize {
+        usize::from(self.first.is_some()) + self.rest.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.first.is_none()
+    }
+
+    pub fn get(&self, i: usize) -> Option<&T> {
+        match i {
+            0 => self.first.as_ref(),
+            _ => self.rest.get(i - 1),
+        }
+    }
+
+    pub fn iter(&self) -> impl Iterator<Item = &T> {
+        self.first.iter().chain(&self.rest)
+    }
+}
+
+impl<T> Default for FirstInline<T> {
+    fn default() -> Self {
+        Self::with_capacity(0)
+    }
+}
+
+impl<T> IntoIterator for FirstInline<T> {
+    type Item = T;
+    type IntoIter = std::iter::Chain<std::option::IntoIter<T>, std::vec::IntoIter<T>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.first.into_iter().chain(self.rest)
+    }
+}
+
+impl<T> FromIterator<T> for FirstInline<T> {
+    fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> Self {
+        let mut iter = iter.into_iter();
+        let first = iter.next();
+        FirstInline {
+            first,
+            rest: iter.collect(),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -178,6 +233,23 @@ mod tests {
         v.clear();
         assert!(v.is_empty());
         assert!(v.spilled(), "heap allocation is retained for reuse");
+    }
+
+    #[test]
+    fn first_inline_keeps_order_and_one_item_off_the_heap() {
+        let mut v: FirstInline<String> = FirstInline::with_capacity(1);
+        v.push("a".to_string());
+        assert_eq!(v.len(), 1);
+        assert_eq!(v.rest.capacity(), 0, "a batch of one never allocates");
+        v.push("b".to_string());
+        v.push("c".to_string());
+        assert_eq!(v.get(2).map(String::as_str), Some("c"));
+        assert_eq!(v.get(3), None);
+        let all: Vec<String> = v.into_iter().collect();
+        assert_eq!(all, ["a", "b", "c"]);
+        let w: FirstInline<u32> = (0..5).collect();
+        assert_eq!(w.iter().copied().collect::<Vec<_>>(), [0, 1, 2, 3, 4]);
+        assert!(FirstInline::<u32>::default().is_empty());
     }
 
     #[test]

@@ -2,6 +2,12 @@
 //! identical to the same actions enqueued one at a time — same dependence
 //! graph, same final data, same counters, same recorded trace — on both
 //! executors, for every way of splitting the action sequence into batches.
+//!
+//! A single enqueue is itself a batch of one through the same engine, so
+//! singles == batched alone cannot catch an engine bug both sides share.
+//! Every data/counter comparison is therefore also checked against
+//! [`model`], a host-side interpreter of the op sequence that shares no
+//! code with the runtime.
 
 use bytes::Bytes;
 use hs_machine::{Device, PlatformCfg};
@@ -144,6 +150,38 @@ fn drive(rig: &Rig, ops: &[Op], splits: Option<&[usize]>) -> ([f64; N], u64, u64
     (out, st.computes(), st.transfers(), st.syncs())
 }
 
+/// The engine-independent reference: interpret `ops` sequentially on the
+/// host, tracking the host and card copies of the rig's buffer and counting
+/// each action kind, and return what [`drive`] reports. The rig starts with
+/// host = card = 1.0 (its root event is an h2d, counted as one transfer).
+/// Sim mode moves no real data: the host copy it reads back stays at its
+/// initial value.
+fn model(ops: &[Op], mode: ExecMode) -> ([f64; N], u64, u64, u64) {
+    let (mut host, mut card) = (1.0, 1.0);
+    let (mut computes, mut transfers, mut syncs) = (0, 1, 0);
+    for op in ops {
+        match op {
+            Op::AddK(k) => {
+                card += k;
+                computes += 1;
+            }
+            Op::H2d => {
+                card = host;
+                transfers += 1;
+            }
+            Op::D2h => {
+                host = card;
+                transfers += 1;
+            }
+            Op::Marker | Op::WaitRoot => syncs += 1,
+        }
+    }
+    if mode == ExecMode::Sim {
+        host = 1.0;
+    }
+    ([host; N], computes, transfers, syncs)
+}
+
 /// The canonical pipeline: h2d → compute* → d2h, repeated. Batch (one
 /// chunk) and singles must agree on data and counters, on both executors.
 #[test]
@@ -161,6 +199,7 @@ fn batch_equals_singles_pipeline() {
         let single = drive(&rig(mode), &ops, None);
         let batched = drive(&rig(mode), &ops, Some(&[ops.len()]));
         assert_eq!(single, batched, "{mode:?}");
+        assert_eq!(single, model(&ops, mode), "{mode:?}");
         if mode == ExecMode::Threads {
             // 1 (init) + 1+2+4 = 8 per lane.
             assert_eq!(single.0, [8.0; N]);
@@ -186,6 +225,7 @@ fn batch_equals_singles_with_sync_kinds() {
         let single = drive(&rig(mode), &ops, None);
         let batched = drive(&rig(mode), &ops, Some(&[ops.len()]));
         assert_eq!(single, batched, "{mode:?}");
+        assert_eq!(single, model(&ops, mode), "{mode:?}");
     }
 }
 
@@ -366,5 +406,6 @@ proptest! {
         let single = drive(&rig(ExecMode::Threads), &ops, None);
         let batched = drive(&rig(ExecMode::Threads), &ops, Some(&sizes));
         prop_assert_eq!(single, batched);
+        prop_assert_eq!(single, model(&ops, ExecMode::Threads));
     }
 }

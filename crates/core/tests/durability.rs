@@ -484,3 +484,111 @@ fn durability_opts_zero_window_syncs_every_flush() {
     assert!(stats.fsyncs >= stats.flushes.min(1), "{stats:?}");
     let _ = std::fs::remove_dir_all(&root);
 }
+
+/// Regression for a lost update on recovery. The crashed run synchronized
+/// the host between two enqueue cycles that share one card buffer, but
+/// replay used to drain each stream's queue with only `Sync` records as
+/// cross-stream edges — so stream 0's second cycle raced stream 1's first.
+/// Here the restarted process's `nap` kernel really sleeps (the crashed
+/// run's returned at once), which makes the race deterministic: without
+/// barrier replay, s0's cycle-2 h2d lands between s1's bump and its d2h
+/// and overwrites that bump on the card.
+#[test]
+fn recovery_replays_host_waits_as_barriers() {
+    let root = tmp_root("barrier");
+    let runtime_napping = |sleep: bool| {
+        let hs = runtime(ExecMode::Threads);
+        hs.register(
+            "nap",
+            Arc::new(move |ctx: &mut TaskCtx| {
+                let ms = u64::from_le_bytes(ctx.args()[..8].try_into().expect("ms arg"));
+                if sleep {
+                    std::thread::sleep(std::time::Duration::from_millis(ms));
+                }
+            }),
+        );
+        hs
+    };
+    // Streams s0, s1 (data) and s2 (naps); `buf` is the shared data, the
+    // two nap buffers keep the naps off its operand ranges.
+    let init = |hs: &HStreams| {
+        let card = DomainId(1);
+        let (s0, s1, buf) = init_workload(hs);
+        let s2 = hs.stream_create(card, CpuMask::first(1)).expect("s2");
+        let naps: Vec<_> = (0..2)
+            .map(|_| {
+                let b = hs.buffer_create(8, BufProps::default());
+                hs.buffer_instantiate(b, card).expect("instantiate nap buf");
+                b
+            })
+            .collect();
+        (s0, s1, s2, buf, naps)
+    };
+    let nap = |hs: &HStreams, s: StreamId, b, ms: u64| {
+        let args = Bytes::copy_from_slice(&ms.to_le_bytes());
+        hs.enqueue_compute(
+            s,
+            "nap",
+            args,
+            &[Operand::new(b, 0..8, Access::InOut)],
+            CostHint::trivial(),
+        )
+        .expect("nap")
+    };
+    let card = DomainId(1);
+    let whole = 0..N * 8;
+    let bump = |hs: &HStreams, s: StreamId, buf| {
+        hs.enqueue_compute(
+            s,
+            "bump",
+            Bytes::new(),
+            &[Operand::f64s(buf, 0, N, Access::InOut)],
+            CostHint::trivial(),
+        )
+        .expect("bump")
+    };
+    {
+        let hs = runtime_napping(false);
+        hs.durability(&root).expect("durability on");
+        let (s0, s1, s2, buf, naps) = init(&hs);
+        // Cycle 1: s0 stages, bumps and returns the data; s1 waits for it,
+        // bumps on the card, naps, then returns the data.
+        hs.enqueue_xfer(s0, buf, whole.clone(), DomainId::HOST, card)
+            .expect("h2d");
+        bump(&hs, s0, buf);
+        let e0 = hs
+            .enqueue_xfer(s0, buf, whole.clone(), card, DomainId::HOST)
+            .expect("d2h");
+        hs.enqueue_event_wait(s1, &[e0]).expect("wait");
+        bump(&hs, s1, buf);
+        let n1 = nap(&hs, s1, naps[0], 600);
+        hs.enqueue_event_wait(s1, &[n1]).expect("wait nap");
+        hs.enqueue_xfer(s1, buf, whole.clone(), card, DomainId::HOST)
+            .expect("d2h");
+        hs.thread_synchronize().expect("sync 1");
+        // Cycle 2, ordered after cycle 1 only by that host wait: s0
+        // re-stages the (now +2) host data, after a shorter nap on s2.
+        let n0 = nap(&hs, s2, naps[1], 200);
+        hs.enqueue_event_wait(s0, &[n0]).expect("wait nap");
+        hs.enqueue_xfer(s0, buf, whole.clone(), DomainId::HOST, card)
+            .expect("h2d");
+        bump(&hs, s0, buf);
+        hs.enqueue_xfer(s0, buf, whole.clone(), card, DomainId::HOST)
+            .expect("d2h");
+        hs.thread_synchronize().expect("sync 2");
+        let expect: Vec<f64> = (0..N).map(|i| i as f64 + 3.0).collect();
+        assert_eq!(read_result(&hs, buf), expect, "the crashed run itself");
+    }
+    let hs = runtime_napping(true);
+    let (_, _, _, buf, _) = init(&hs);
+    let report = hs.recover(&root).expect("recover");
+    assert_eq!(report.replayed, report.records, "{report:?}");
+    hs.thread_synchronize().expect("post-recover sync");
+    let expect: Vec<f64> = (0..N).map(|i| i as f64 + 3.0).collect();
+    assert_eq!(
+        read_result(&hs, buf),
+        expect,
+        "every bump survives recovery: replay must honour the host waits"
+    );
+    let _ = std::fs::remove_dir_all(&root);
+}

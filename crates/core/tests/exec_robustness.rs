@@ -15,7 +15,9 @@ use hs_machine::{Device, PlatformCfg};
 use hs_obs::ObsAction;
 use hstreams_core::exec::sim::SimExec;
 use hstreams_core::exec::thread::ThreadExec;
-use hstreams_core::exec::{ActionSpec, BackendEvent, RealXfer, SubmitOpts};
+use hstreams_core::exec::{
+    ActionSpec, BackendEvent, BatchDep, BatchSubmitItem, RealXfer, SubmitOpts,
+};
 use hstreams_core::{CostHint, CpuMask};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -40,6 +42,23 @@ fn thread_exec(cards: usize) -> ThreadExec {
     ex.add_stream(0, CpuMask::first(1));
     ex.add_stream(1, CpuMask::first(1));
     ex
+}
+
+/// Submit one action through the executor's only entry point, a batch of
+/// one, with default options and no lifecycle tracing.
+fn submit(ex: &ThreadExec, spec: ActionSpec, deps: &[&CoiEvent]) -> CoiEvent {
+    let item = BatchSubmitItem {
+        spec,
+        deps: deps
+            .iter()
+            .map(|d| BatchDep::External(BackendEvent::Thread((*d).clone())))
+            .collect(),
+        obs: ObsAction::disabled(),
+        opts: SubmitOpts::default(),
+    };
+    let done = ex.submit_batch(std::iter::once(item).collect(), None);
+    let done = done.into_iter().next().expect("one event per item");
+    done.as_thread().clone()
 }
 
 fn compute_spec(stream_idx: usize, func: &str) -> ActionSpec {
@@ -68,15 +87,11 @@ fn drop_with_pending_actions_completes_instead_of_hanging() {
         let fabric = ex.coi().fabric().clone();
         let src = fabric.register(NodeId(0), 64);
         let dst = fabric.register(NodeId(1), 64);
-        let compute = ex.submit(
-            compute_spec(1, "slow"),
-            &[],
-            ObsAction::disabled(),
-            SubmitOpts::default(),
-        );
+        let compute = submit(&ex, compute_spec(1, "slow"), &[]);
         // The transfer's dispatch callback holds DMA sender clones while the
         // compute runs — exactly the state that wedged the old shutdown.
-        let xfer = ex.submit(
+        let xfer = submit(
+            &ex,
             ActionSpec::Transfer {
                 card_domain: Some(1),
                 h2d: true,
@@ -87,9 +102,7 @@ fn drop_with_pending_actions_completes_instead_of_hanging() {
                 }),
                 label: "xfer:test".into(),
             },
-            &[BackendEvent::Thread(compute.clone())],
-            ObsAction::disabled(),
-            SubmitOpts::default(),
+            &[&compute],
         );
         drop(ex); // must drain both actions, then join workers
         assert!(compute.wait().is_ok(), "compute should finish during drain");
@@ -107,7 +120,8 @@ fn late_dispatch_after_drop_fails_the_action_instead_of_panicking() {
         // A dependence only this test can resolve: the transfer stays
         // pending through the drain budget and dispatches after teardown.
         let gate = CoiEvent::new();
-        let xfer = ex.submit(
+        let xfer = submit(
+            &ex,
             ActionSpec::Transfer {
                 card_domain: Some(1),
                 h2d: true,
@@ -118,9 +132,7 @@ fn late_dispatch_after_drop_fails_the_action_instead_of_panicking() {
                 }),
                 label: "xfer:late".into(),
             },
-            &[BackendEvent::Thread(gate.clone())],
-            ObsAction::disabled(),
-            SubmitOpts::default(),
+            &[&gate],
         );
         drop(ex); // drain budget expires; DMA channels close
         gate.signal(); // dispatch now runs into a closed channel
@@ -135,12 +147,7 @@ fn late_dispatch_after_drop_fails_the_action_instead_of_panicking() {
 #[test]
 fn malformed_compute_fails_fast_path_without_panicking() {
     let ex = thread_exec(1);
-    let ev = ex.submit(
-        compute_spec(99, "nosuch"),
-        &[],
-        ObsAction::disabled(),
-        SubmitOpts::default(),
-    );
+    let ev = submit(&ex, compute_spec(99, "nosuch"), &[]);
     let err = ev.wait().expect_err("bad stream index must fail");
     assert!(
         err.to_string().contains("malformed compute"),
@@ -152,12 +159,7 @@ fn malformed_compute_fails_fast_path_without_panicking() {
 fn malformed_compute_fails_via_pending_dependence_path() {
     let ex = thread_exec(1);
     let gate = CoiEvent::new();
-    let ev = ex.submit(
-        compute_spec(99, "nosuch"),
-        &[BackendEvent::Thread(gate.clone())],
-        ObsAction::disabled(),
-        SubmitOpts::default(),
-    );
+    let ev = submit(&ex, compute_spec(99, "nosuch"), &[&gate]);
     assert!(!ev.is_complete());
     gate.signal(); // dispatch runs on this thread via the countdown callback
     let err = ev.wait().expect_err("bad stream index must fail");
@@ -173,7 +175,8 @@ fn real_transfer_without_card_domain_fails_not_panics() {
     let fabric = ex.coi().fabric().clone();
     let src = fabric.register(NodeId(0), 64);
     let dst = fabric.register(NodeId(1), 64);
-    let ev = ex.submit(
+    let ev = submit(
+        &ex,
         ActionSpec::Transfer {
             card_domain: None, // malformed: a real transfer must name a card
             h2d: true,
@@ -185,8 +188,6 @@ fn real_transfer_without_card_domain_fails_not_panics() {
             label: "xfer:nocard".into(),
         },
         &[],
-        ObsAction::disabled(),
-        SubmitOpts::default(),
     );
     let err = ev.wait().expect_err("transfer without a card must fail");
     assert!(
@@ -201,7 +202,8 @@ fn transfer_to_out_of_range_card_fails_not_panics() {
     let fabric = ex.coi().fabric().clone();
     let src = fabric.register(NodeId(0), 64);
     let dst = fabric.register(NodeId(1), 64);
-    let ev = ex.submit(
+    let ev = submit(
+        &ex,
         ActionSpec::Transfer {
             card_domain: Some(5), // only 1 card exists
             h2d: true,
@@ -213,8 +215,6 @@ fn transfer_to_out_of_range_card_fails_not_panics() {
             label: "xfer:oob".into(),
         },
         &[],
-        ObsAction::disabled(),
-        SubmitOpts::default(),
     );
     let err = ev.wait().expect_err("out-of-range card must fail");
     assert!(
@@ -248,12 +248,7 @@ fn elapsed_baseline_is_first_submit_not_construction() {
         0.0,
         "no submit yet: elapsed must be exactly zero"
     );
-    let ev = ex.submit(
-        ActionSpec::Noop,
-        &[],
-        ObsAction::disabled(),
-        SubmitOpts::default(),
-    );
+    let ev = submit(&ex, ActionSpec::Noop, &[]);
     ev.wait().expect("noop completes");
     let elapsed = ex.elapsed_secs();
     assert!(
