@@ -1,13 +1,12 @@
 //! Source-endpoint throughput: how many actions per second the front-end
 //! can enqueue, single-threaded and from N concurrent source threads
 //! driving disjoint streams, through both the single-action path
-//! (`config: "id_block"`) and the batched `enqueue_many` path
+//! (`config: "single"`) and the batched `enqueue_many` path
 //! (`config: "batch"`).
 //!
 //! Writes `BENCH_enqueue.json` at the workspace root. Every row carries
-//! contention evidence next to the rate: `frontend.stream_lock.contended`,
-//! `id_rmw_per_action` (global id-allocation RMWs amortized over actions —
-//! 1.0 before per-thread id blocks, ~1/32 after), and `deps.redundant`.
+//! contention evidence next to the rate: `frontend.stream_lock.contended`
+//! and `deps.redundant`.
 //! The `wal_on` row repeats the single-thread drive with durable logging
 //! enabled and gates the append overhead (<10% on full-length runs).
 //!
@@ -15,11 +14,11 @@
 //! * `HS_BENCH_SMOKE=1` shrinks the run for CI;
 //! * `HS_BENCH_CHECK=1` compares the measured single-thread rate against
 //!   the committed artifact and fails loudly on a >20% regression;
-//! * `HS_BENCH_SCALE_GATE=1` enforces the scaling acceptance gate:
-//!   aggregate throughput non-decreasing from 1→2 source threads when the
-//!   host has ≥2 cores; on a 1-core runner the gate is skipped with a
-//!   notice and the contention counters are gated instead (id RMWs per
-//!   action must stay well below the pre-PR 1.0).
+//! * `HS_BENCH_SCALE_GATE=1` enforces the scaling acceptance gate: the
+//!   2-thread run's lanes are disjoint, so it must see zero stream-lock
+//!   contention on any core count; and aggregate throughput must be
+//!   non-decreasing from 1→2 source threads when the host has ≥2 cores (on
+//!   a 1-core runner that half is skipped with a notice).
 
 use bytes::Bytes;
 use hs_bench::{f, write_bench_json, JsonRecord, Table};
@@ -118,7 +117,6 @@ fn drive_batched(hs: &HStreams, lane: &Lane, actions: usize) {
 #[derive(Clone, Copy)]
 struct Evidence {
     lock_contended: f64,
-    id_rmw_per_action: f64,
     deps_redundant: f64,
     wal_flushes: f64,
     wal_fsyncs: f64,
@@ -133,11 +131,9 @@ fn evidence(hs: &HStreams) -> Evidence {
             .map(|(_, v)| *v)
             .unwrap_or(0.0)
     };
-    let reserved = get("events.reserved").max(1.0);
     let wal = hs.wal_stats();
     Evidence {
         lock_contended: get("frontend.stream_lock.contended"),
-        id_rmw_per_action: get("events.id_block.mints") / reserved,
         deps_redundant: get("deps.redundant"),
         wal_flushes: wal.as_ref().map_or(0.0, |s| s.flushes as f64),
         wal_fsyncs: wal.as_ref().map_or(0.0, |s| s.fsyncs as f64),
@@ -242,10 +238,8 @@ fn check_regression(measured: f64) {
         .expect("HS_BENCH_CHECK: committed BENCH_enqueue.json must exist");
     let row = committed
         .lines()
-        .find(|l| {
-            l.contains("\"name\": \"single_thread\"") && l.contains("\"config\": \"id_block\"")
-        })
-        .expect("committed BENCH_enqueue.json has a single_thread id_block row");
+        .find(|l| l.contains("\"name\": \"single_thread\"") && l.contains("\"config\": \"single\""))
+        .expect("committed BENCH_enqueue.json has a single_thread single row");
     let reference = json_value(row, "actions_per_sec").expect("row has actions_per_sec");
     // The committed artifact comes from a full-length run; a smoke run is
     // both shorter (warmup is a larger share) and noisier, so it gets a
@@ -267,13 +261,24 @@ fn check_regression(measured: f64) {
     );
 }
 
-/// The concurrency-smoke scaling gate (CI): with ≥2 host cores, aggregate
-/// throughput must be non-decreasing from 1→2 source threads; on a 1-core
-/// runner parallel sources can only interleave, so the gate is skipped
-/// with a notice and the contention counters are gated instead.
-fn scale_gate(cores: usize, rate_1t: f64, rate_2t: Option<f64>, ev_1t: &Evidence) {
+/// The concurrency-smoke scaling gate (CI). The 2-thread run drives
+/// disjoint lanes, so any stream-lock contention there is a front-end
+/// regression, on any core count. With ≥2 host cores, aggregate throughput
+/// must also be non-decreasing from 1→2 source threads; on a 1-core runner
+/// parallel sources can only interleave, so that half is skipped with a
+/// notice.
+fn scale_gate(cores: usize, rate_1t: f64, run_2t: Option<(f64, Evidence)>) {
+    let (r2, ev_2t) = run_2t.expect("scale gate needs the 2-thread measurement");
+    println!(
+        "scale gate: 2T stream_lock.contended = {}",
+        ev_2t.lock_contended
+    );
+    assert!(
+        ev_2t.lock_contended == 0.0,
+        "2 source threads on disjoint streams contended on a stream lock {} times",
+        ev_2t.lock_contended
+    );
     if cores >= 2 {
-        let r2 = rate_2t.expect("scale gate needs the 2-thread measurement");
         // 5% measurement-noise allowance on "non-decreasing".
         let floor = 0.95 * rate_1t;
         println!("scale gate: 1T {rate_1t:.0} -> 2T {r2:.0} actions/s (floor {floor:.0})");
@@ -284,18 +289,8 @@ fn scale_gate(cores: usize, rate_1t: f64, rate_2t: Option<f64>, ev_1t: &Evidence
         );
     } else {
         println!(
-            "NOTICE: scale gate skipped — 1-core runner cannot scale source \
-             threads; gating contention counters instead"
-        );
-        println!(
-            "  id_rmw_per_action = {:.4} (pre-PR: 1.0), stream_lock.contended = {}",
-            ev_1t.id_rmw_per_action, ev_1t.lock_contended
-        );
-        assert!(
-            ev_1t.id_rmw_per_action <= 0.5,
-            "per-thread id blocks should amortize the global id RMW well below \
-             1 per action; measured {:.4}",
-            ev_1t.id_rmw_per_action
+            "NOTICE: 1→2 thread rate gate skipped — 1-core runner cannot scale \
+             source threads"
         );
     }
 }
@@ -314,15 +309,13 @@ fn main() {
         "ordering",
         "actions/s",
         "vs 1T",
-        "rmw/act",
         "contended",
     ]);
 
     let mut single = 0.0;
     let mut single_fifo = 0.0;
-    let mut single_ev = None;
-    let mut rate_2t = None;
-    for (config, batched) in [("id_block", false), ("batch", true)] {
+    let mut run_2t = None;
+    for (config, batched) in [("single", false), ("batch", true)] {
         for ordering in [OrderingMode::OutOfOrder, OrderingMode::StrictFifo] {
             // FIFO ordering only matters single-threaded (the fifo/ooo gap
             // row); the scaling story is out-of-order.
@@ -343,14 +336,13 @@ fn main() {
                     base = rate;
                     if ordering == OrderingMode::OutOfOrder && !batched {
                         single = rate;
-                        single_ev = Some(ev);
                     }
                     if ordering == OrderingMode::StrictFifo && !batched {
                         single_fifo = rate;
                     }
                 }
                 if t == 2 && ordering == OrderingMode::OutOfOrder && !batched {
-                    rate_2t = Some(rate);
+                    run_2t = Some((rate, ev));
                 }
                 table.row(vec![
                     format!("{t}"),
@@ -358,7 +350,6 @@ fn main() {
                     ordering_tag(ordering).to_string(),
                     f(rate),
                     format!("{:.2}x", rate / base),
-                    format!("{:.4}", ev.id_rmw_per_action),
                     format!("{:.0}", ev.lock_contended),
                 ]);
                 let name = if t == 1 {
@@ -376,7 +367,6 @@ fn main() {
                             ("actions_per_sec".to_string(), rate),
                             ("host_cores".to_string(), cores as f64),
                             ("stream_lock_contended".to_string(), ev.lock_contended),
-                            ("id_rmw_per_action".to_string(), ev.id_rmw_per_action),
                             ("deps_redundant".to_string(), ev.deps_redundant),
                         ]),
                 );
@@ -394,7 +384,7 @@ fn main() {
         records.push(
             JsonRecord::new("fifo_ooo_gap", actions, 0.0)
                 .with_source_threads(1)
-                .with_config("id_block")
+                .with_config("single")
                 .with_metrics(vec![("gap".to_string(), gap)]),
         );
         println!("\nfifo/ooo single-thread gap: {gap:.3}x (bound 1.25x)");
@@ -404,7 +394,7 @@ fn main() {
              {gap:.2}x — the ooo dependence-analysis path has regressed"
         );
     }
-    // Durable append overhead: the same single-thread id_block/ooo drive
+    // Durable append overhead: the same single-thread single/ooo drive
     // with the WAL on — every enqueue appends its record, every sync
     // flushes to the page cache. ROADMAP acceptance: <10% off the
     // in-memory rate (relative within this run, so no committed artifact
@@ -458,7 +448,6 @@ fn main() {
         "ooo".to_string(),
         f(wal_rate),
         format!("{:.2}x", wal_rate / wal_base),
-        format!("{:.4}", wal_ev.id_rmw_per_action),
         format!("{:.0}", wal_ev.lock_contended),
     ]);
     records.push(
@@ -513,7 +502,6 @@ fn main() {
         "ooo".to_string(),
         f(fsync_rate),
         format!("{:.2}x", fsync_rate / wal_base),
-        format!("{:.4}", fsync_ev.id_rmw_per_action),
         format!("{:.0}", fsync_ev.lock_contended),
     ]);
     records.push(
@@ -571,18 +559,12 @@ fn main() {
             "ooo".to_string(),
             f(baseline),
             format!("{:.2}x", single / baseline),
-            "1.0000".to_string(),
             "-".to_string(),
         ]);
     }
     table.print("enqueue throughput (thread executor, host streams)");
     if gate {
-        scale_gate(
-            cores,
-            single,
-            rate_2t,
-            single_ev.as_ref().expect("1-thread measurement ran"),
-        );
+        scale_gate(cores, single, run_2t);
     }
     if check || !smoke {
         // Full-length runs (run_benches.sh) and explicit check runs both

@@ -67,8 +67,8 @@ pub struct JsonRecord {
     /// Intra-stream ordering mode the runtime ran with (`"ooo"` /
     /// `"fifo"`; emitted as an `ordering` key when set).
     pub ordering: Option<String>,
-    /// Front-end configuration that produced the row (`"id_block"` for the
-    /// per-thread id-block single-enqueue path, `"batch"` for
+    /// Front-end configuration that produced the row (`"single"` for the
+    /// one-action-per-call enqueue path, `"batch"` for
     /// `enqueue_many`, `"pre_pr"` for the recorded pre-refactor baseline;
     /// emitted as a `config` key when set) — keeps trajectory rows
     /// comparable across PRs as the front-end evolves.
@@ -111,7 +111,7 @@ impl JsonRecord {
         self
     }
 
-    /// Record the front-end configuration (`"id_block"` / `"batch"` / …).
+    /// Record the front-end configuration (`"single"` / `"batch"` / …).
     pub fn with_config(mut self, config: impl Into<String>) -> JsonRecord {
         self.config = Some(config.into());
         self

@@ -146,17 +146,12 @@ pub struct SimExec {
 
 impl SimExec {
     pub fn new(platform: &PlatformCfg) -> SimExec {
-        Self::new_with_obs(platform, ObsHub::new())
+        Self::new_with_obs_chaos(platform, ObsHub::new(), ChaosHub::default())
     }
 
     /// Like [`Self::new`], routing lifecycle events (virtual timestamps) to
-    /// `obs`.
-    pub fn new_with_obs(platform: &PlatformCfg, obs: ObsHub) -> SimExec {
-        Self::new_with_obs_chaos(platform, obs, ChaosHub::default())
-    }
-
-    /// Like [`Self::new_with_obs`], consulting `chaos` at every compute and
-    /// transfer site (in virtual time; backoffs advance the virtual clock).
+    /// `obs` and consulting `chaos` at every compute and transfer site (in
+    /// virtual time; backoffs advance the virtual clock).
     pub fn new_with_obs_chaos(platform: &PlatformCfg, obs: ObsHub, chaos: ChaosHub) -> SimExec {
         let mut sim = Sim::new();
         let cost = platform.cost_model();

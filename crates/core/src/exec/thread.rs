@@ -230,29 +230,15 @@ impl ThreadExec {
     /// pacing (for real-mode overlap experiments); functional tests leave it
     /// off.
     pub fn new(platform: &PlatformCfg, paced: bool) -> ThreadExec {
-        Self::new_with_obs(platform, paced, ObsHub::new())
-    }
-
-    /// Like [`Self::new`], routing lifecycle events and gauges to `obs`.
-    pub fn new_with_obs(platform: &PlatformCfg, paced: bool, obs: ObsHub) -> ThreadExec {
-        Self::new_with_obs_chaos(platform, paced, obs, ChaosHub::default())
-    }
-
-    /// Like [`Self::new_with_obs`], sharing `chaos` with every fabric DMA
-    /// channel and dispatch point.
-    pub fn new_with_obs_chaos(
-        platform: &PlatformCfg,
-        paced: bool,
-        obs: ObsHub,
-        chaos: ChaosHub,
-    ) -> ThreadExec {
-        Self::new_with_remotes(platform, paced, obs, chaos, &[])
+        Self::new_with_remotes(platform, paced, ObsHub::new(), ChaosHub::default(), &[])
             .expect("in-process executor construction is infallible")
     }
 
-    /// Like [`Self::new_with_obs_chaos`], with some card domains hosted by
-    /// out-of-process workers: `remotes` maps card engine index (1-based —
-    /// the host is engine 0 and cannot be remote) to the worker's endpoint.
+    /// Like [`Self::new`], routing lifecycle events and gauges to `obs`,
+    /// sharing `chaos` with every fabric DMA channel and dispatch point,
+    /// and with some card domains hosted by out-of-process workers:
+    /// `remotes` maps card engine index (1-based — the host is engine 0 and
+    /// cannot be remote) to the worker's endpoint.
     /// Connecting is synchronous, so a worker that never comes up errors
     /// here; one that dies later surfaces as `CardLost` at first use. The
     /// card's pacer still models the link *on top of* measured wire time

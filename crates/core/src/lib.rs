@@ -232,8 +232,9 @@ struct BuiltAction {
 /// Ids reserved for an in-flight batch enqueue. Until disarmed, dropping the
 /// guard hands every id back as a tombstone ([`EventTable::tombstone_reserved`]);
 /// the success path [`ReservedIds::disarm`]s once publishing is guaranteed.
-/// This is what keeps a failing (or panicking) batch from leaving
-/// reserved-but-never-published slots that stall the retirement watermark.
+/// This is what keeps a batch that panics mid-loop from leaving
+/// reserved-but-never-published slots that stall the retirement watermark
+/// (a batch that fails validation returns before reserving anything).
 struct ReservedIds<'a> {
     events: &'a EventTable,
     ids: EventList,
@@ -297,21 +298,9 @@ pub struct DomainInfo {
     pub ram_bytes: u64,
 }
 
-/// Enqueues between amortized event-table / recovery-log compactions.
-const COMPACT_EVERY: u32 = 1024;
-
-/// [`COMPACT_EVERY`] expressed in id-block mints: the compaction cadence is
-/// observed through the event table's block-mint counter (one mint per
-/// [`events::ID_BLOCK`] reserves), which the enqueue path already pays for.
-/// `max(1)` keeps the cadence sane under loom's tiny test blocks.
-const COMPACT_BLOCKS: u64 = {
-    let blocks = COMPACT_EVERY as u64 / events::ID_BLOCK;
-    if blocks == 0 {
-        1
-    } else {
-        blocks
-    }
-};
+/// Event ids reserved between amortized event-table / recovery-log
+/// compactions.
+const COMPACT_EVERY: u64 = 1024;
 
 /// Witness a lock-class acquisition for exactly the duration of `f` — for
 /// sites where the guard is a statement temporary. Sites that bind the
@@ -378,8 +367,8 @@ pub(crate) struct Inner {
     /// loops snapshot it before waiting; a failed wait whose snapshot is
     /// stale re-waits instead of racing a concurrent degradation.
     degrade_gen: AtomicU64,
-    /// Event-table *block-mint* count at which the next amortized
-    /// compaction is due. Driven off the table's existing mint counter so
+    /// Event-table length (ids reserved) at which the next amortized
+    /// compaction is due. Driven off the table's existing id counter so
     /// the per-action check is two relaxed loads and zero RMWs (the old
     /// per-enqueue counter was itself a shared hot-path RMW; one thread's
     /// CAS here claims the whole compaction).
@@ -500,7 +489,7 @@ impl HStreams {
                 wal: OnceLock::new(),
                 degraded: Mutex::new(Vec::new()),
                 degrade_gen: AtomicU64::new(0),
-                compact_due: AtomicU64::new(COMPACT_BLOCKS),
+                compact_due: AtomicU64::new(COMPACT_EVERY),
                 contended: ShardedU64::new(),
                 redundant: ShardedU64::new(),
             }),
@@ -562,13 +551,6 @@ impl HStreams {
     /// order in event-id sequence).
     #[cfg(feature = "hsan-record")]
     pub fn recording_start(&self) {
-        // The trace is a total order in event-id sequence, so ids minted
-        // while recording must be gap-free ascending: hand every thread's
-        // private id block back (unused tails tombstone) and switch the
-        // allocator to sequential single-id mints — both *before* the
-        // recording flag is released to concurrent enqueuers.
-        self.inner.events.set_dense(true);
-        self.inner.events.drain_blocks();
         *with_class(LockClass::Recorder, || self.inner.recorder.lock()) = Some(
             record::Recorder::new(self.inner.ordering, self.inner.platform.domains.len()),
         );
@@ -581,12 +563,7 @@ impl HStreams {
     #[cfg(feature = "hsan-record")]
     pub fn recording_take(&self) -> Option<record::ActionTrace> {
         self.inner.recording.store(false, Ordering::Release);
-        let rec = with_class(LockClass::Recorder, || self.inner.recorder.lock().take());
-        // Back to block-mode id minting only once the recorder is gone: an
-        // enqueue that raced the flag store serialized on the recorder lock
-        // above and therefore minted its (dense) id before this point.
-        self.inner.events.set_dense(false);
-        let rec = rec?;
+        let rec = with_class(LockClass::Recorder, || self.inner.recorder.lock().take())?;
         let streams = with_class(LockClass::Streams, || self.inner.streams.read().len()) as u32;
         let trace = match &self.inner.exec {
             Executor::Sim(sim) => {
@@ -1373,6 +1350,13 @@ impl HStreams {
                     BatchAction::EventWait { events } => (ActionKind::EventWait, events),
                     _ => (ActionKind::Marker, Vec::new()),
                 };
+                // Checked here, with the rest of the batch's validation:
+                // a failure after earlier items were windowed would leave
+                // their entries behind (a marker's index reset, a covering
+                // write's pruning, a strict-FIFO chain link) as tombstones.
+                if let Some(e) = waits.iter().find(|e| e.0 >= self.inner.events.len()) {
+                    return Err(HsError::UnknownEvent(*e));
+                }
                 let logged = log.then_some(LoggedOp::Sync);
                 (ActionSpec::Noop, Vec::new(), kind, waits, logged)
             }
@@ -1390,10 +1374,10 @@ impl HStreams {
     /// of one. Caller holds the world lock (shared). Per batch:
     ///
     /// * **one** stream-window lock and **one** retirement sweep;
-    /// * every action is validated + resolved ([`Self::build_action`])
-    ///   before the window is touched, so an invalid item enqueues nothing
-    ///   — event-wait ids are the exception, checked in the windowed loop
-    ///   where the batch's own reservations are visible;
+    /// * every action is validated + resolved ([`Self::build_action`]),
+    ///   event-wait ids included, before any id is reserved or the window
+    ///   is touched, so an invalid item enqueues nothing and leaves the
+    ///   window as it was;
     /// * per-item dependence analysis is incremental (item *i* is pushed
     ///   into the window before item *i+1*'s `find_deps`), and
     ///   dependences on the batch's own items resolve to
@@ -1432,8 +1416,9 @@ impl HStreams {
         }
         // While an hsan recording is live, hold the recorder from id mint
         // to trace push: the batch's ops land in the trace as one
-        // contiguous ascending id run, at the cost of serializing
-        // concurrent enqueues for the recording's duration.
+        // ascending id run (ids come from one counter, so the trace as a
+        // whole ascends too), at the cost of serializing concurrent
+        // enqueues for the recording's duration.
         #[cfg(feature = "hsan-record")]
         let (_lo_rec, mut rec_guard) = if inner.recording.load(Ordering::Acquire) {
             let lo = lockorder::acquiring(LockClass::Recorder);
@@ -1442,10 +1427,10 @@ impl HStreams {
             (None, None)
         };
         let n = items.len();
-        // Drop-guard over the reserved ids: if this loop exits early (the
-        // wait validation below) or panics, every id reserved so far is
-        // handed back as a tombstone — a reserved-but-never-published slot
-        // would otherwise stall the retirement watermark forever.
+        // Drop-guard over the reserved ids: if this loop panics, every id
+        // reserved so far is handed back as a tombstone — a
+        // reserved-but-never-published slot would otherwise stall the
+        // retirement watermark forever.
         let mut ids = ReservedIds {
             events: &inner.events,
             ids: EventList::with_capacity(n),
@@ -1463,19 +1448,6 @@ impl HStreams {
                 waits,
                 logged,
             } = item;
-            // Wait ids are validated here, not in phase 1: earlier batch
-            // items have already reserved their slots by now, so a failure
-            // at item i > 0 genuinely exercises the tombstone guard (and
-            // the table can only have grown since phase 1, so nothing that
-            // would have passed there fails here). All-or-nothing: nothing
-            // was submitted (submit_batch is below) and nothing published.
-            // Returning drops the guard, which tombstones every reserved
-            // id, so earlier items' window entries read as retired
-            // (completed success — no dependence edges form on them) and
-            // the next retire sweep clears them.
-            if let Some(e) = waits.iter().find(|e| e.0 >= inner.events.len()) {
-                return Err(HsError::UnknownEvent(*e));
-            }
             // EventWait actions depend on the awaited events plus the
             // pending sync barrier, if any (out-of-order mode: the wait
             // replaces `last_barrier`, so it must chain on the old one or a
@@ -1777,23 +1749,23 @@ impl HStreams {
 
     /// Amortized bounded-memory sweep, run outside the enqueue locks.
     ///
-    /// Cadence is observed through the event table's block-mint counter
-    /// rather than a dedicated per-enqueue counter: the common case is two
+    /// Cadence is observed through the event table's id counter rather
+    /// than a dedicated per-enqueue counter: the common case is two
     /// relaxed loads and **zero** shared RMWs per action, and the CAS —
-    /// attempted only once per [`COMPACT_BLOCKS`] mints — elects a single
-    /// compacting thread.
+    /// attempted only once per [`COMPACT_EVERY`] reserved ids — elects a
+    /// single compacting thread.
     fn maybe_compact(&self) {
         let inner = &*self.inner;
-        let mints = inner.events.mints();
+        let reserved = inner.events.len();
         let due = inner.compact_due.load(Ordering::Relaxed);
-        if mints < due {
+        if reserved < due {
             return;
         }
         if inner
             .compact_due
             .compare_exchange(
                 due,
-                mints + COMPACT_BLOCKS,
+                reserved + COMPACT_EVERY,
                 Ordering::Relaxed,
                 Ordering::Relaxed,
             )
@@ -1806,7 +1778,7 @@ impl HStreams {
     /// Tombstone completed-successful events in the global table (their
     /// backend handles drop; late waiters still resolve them as successes)
     /// and, while chaos is armed, prune recovery-log entries that can never
-    /// be replayed. Runs automatically every [`COMPACT_EVERY`] enqueues;
+    /// be replayed. Runs automatically every [`COMPACT_EVERY`] reserved ids;
     /// public so long-running tests and services can force a sweep at a
     /// quiesce point.
     pub fn compact_now(&self) {
@@ -1818,10 +1790,6 @@ impl HStreams {
         let inner = &*self.inner;
         let _lo_world = lockorder::acquiring(LockClass::World);
         let _world = inner.world.read();
-        // Hand back every thread's private id block first: unused tail ids
-        // tombstone, so the watermark below can sweep past them instead of
-        // stalling at the first untaken id. Threads re-mint on next use.
-        inner.events.drain_blocks();
         inner.events.compact(|be| {
             if !inner.exec.is_complete(be) {
                 return None;
@@ -2034,8 +2002,8 @@ impl HStreams {
     /// segment retirement — the same work `compact_now` performs on its
     /// amortized cadence, without the appended-bytes throttle. No-op when
     /// durability is off. Compacts first: the quiesce requirement
-    /// (`watermark == reserved`) only holds once per-thread id blocks are
-    /// drained and the retirement watermark sweeps forward.
+    /// (`watermark == reserved`) only holds once the retirement watermark
+    /// has swept forward over every completed event.
     pub fn wal_checkpoint(&self) {
         self.compact_now();
         self.wal_maybe_checkpoint(true);
@@ -2551,9 +2519,7 @@ impl HStreams {
         snap.extra
             .insert("events.watermark".into(), table.watermark as f64);
         snap.extra
-            .insert("events.id_block.mints".into(), table.mints as f64);
-        snap.extra
-            .insert("events.id_block.tombstoned".into(), table.tombstoned as f64);
+            .insert("events.tombstoned".into(), table.tombstoned as f64);
         snap.extra.insert(
             "frontend.stream_lock.contended".into(),
             self.inner.contended.get() as f64,

@@ -13,10 +13,11 @@ use bytes::Bytes;
 use hs_machine::{Device, PlatformCfg};
 use hstreams_core::{
     Access, BatchAction, BufProps, BufferId, CostHint, CpuMask, DomainId, Event, ExecMode,
-    HStreams, HsError, Operand, StreamId, TaskCtx,
+    HStreams, HsError, Operand, OrderingMode, StreamId, TaskCtx,
 };
 use proptest::prelude::*;
 use std::sync::Arc;
+use std::time::Duration;
 
 const N: usize = 4; // f64 lanes per buffer
 
@@ -44,7 +45,11 @@ struct Rig {
 }
 
 fn rig(mode: ExecMode) -> Rig {
-    let hs = HStreams::init(PlatformCfg::hetero(Device::Hsw, 1), mode);
+    rig_with(mode, OrderingMode::OutOfOrder)
+}
+
+fn rig_with(mode: ExecMode, ordering: OrderingMode) -> Rig {
+    let hs = HStreams::init_with_ordering(PlatformCfg::hetero(Device::Hsw, 1), mode, ordering);
     hs.register(
         "addk",
         Arc::new(|ctx: &mut TaskCtx| {
@@ -256,20 +261,21 @@ fn batch_is_all_or_nothing() {
     assert_eq!(out, [1.0; N], "no partial batch executed");
 }
 
-/// Regression for the reserve→publish crack: a batch that fails *after*
-/// earlier items already reserved their event ids must hand those ids back
-/// as tombstones. Before the guard, each failing batch leaked its reserved
-/// ids as forever-unpublished slots, so the retirement watermark stalled
-/// and the table grew without bound. 10k failing batches: `events.live`
-/// stays flat and every leaked reservation shows up as a tombstone.
+/// Regression for the reserve→publish crack: a batch whose last item is
+/// invalid must leave no trace in the event table. A leaked reservation is
+/// a forever-unpublished slot that stalls the retirement watermark and
+/// grows the table without bound. Every item is validated before any id is
+/// reserved, so 10k failing batches leave `events.reserved` unchanged and
+/// `events.live` flat.
 #[test]
 fn failed_batches_tombstone_reserved_ids() {
     let r = rig(ExecMode::Threads);
     r.hs.thread_synchronize().expect("root settles");
-    let live0 = r.hs.metrics().extra["events.live"];
+    let m0 = r.hs.metrics();
+    let (live0, reserved0) = (m0.extra["events.live"], m0.extra["events.reserved"]);
     for i in 0..10_000u64 {
-        // Two valid items reserve ids, then the bogus event-wait aborts
-        // the batch mid-loop.
+        // Two valid items ahead of the bogus event-wait that aborts the
+        // batch.
         let batch = vec![
             op_to_batch(&r, &Op::AddK(1.0)),
             op_to_batch(&r, &Op::H2d),
@@ -290,13 +296,63 @@ fn failed_batches_tombstone_reserved_ids() {
         live <= live0,
         "failed batches must not leave live events: {live0} -> {live}"
     );
-    // Every id the failed batches reserved (2 per batch) came back as a
-    // tombstone, so the watermark can cross the whole range.
-    assert!(
-        m.extra["events.id_block.tombstoned"] >= 20_000.0,
-        "tombstoned: {}",
-        m.extra["events.id_block.tombstoned"]
+    assert_eq!(
+        m.extra["events.reserved"], reserved0,
+        "failed batches must reserve no event ids"
     );
+}
+
+/// Regression for window damage from a mid-batch abort: a batch whose
+/// item *i* > 0 fails must leave the stream's dependence window as it was.
+/// Each case queues `set7` (writes 7.0 into the card copy of `b`) behind a
+/// 300 ms compute that occupies the stream's sink, runs a failing batch,
+/// then reads `b` back: the read must order after the still-pending
+/// `set7`. Had the failed batch's items been windowed, the read would lose
+/// that edge — to a marker's index reset (out-of-order), a covering
+/// write's pruning (out-of-order) or a strict-FIFO chain link — and copy
+/// out the stale 1.0.
+#[test]
+fn failed_batch_leaves_the_window_intact() {
+    let cases = [
+        ("marker, ooo", OrderingMode::OutOfOrder, Op::Marker),
+        ("covering h2d, ooo", OrderingMode::OutOfOrder, Op::H2d),
+        ("marker, fifo", OrderingMode::StrictFifo, Op::Marker),
+    ];
+    for (name, ordering, first) in cases {
+        let r = rig_with(ExecMode::Threads, ordering);
+        r.hs.thread_synchronize().expect("root settles");
+        r.hs.register(
+            "sleep",
+            Arc::new(|_: &mut TaskCtx| std::thread::sleep(Duration::from_millis(300))),
+        );
+        r.hs.register(
+            "set7",
+            Arc::new(|ctx: &mut TaskCtx| ctx.buf_f64_mut(0).fill(7.0)),
+        );
+        r.hs.enqueue_compute(r.s, "sleep", Bytes::new(), &[], CostHint::trivial())
+            .expect("sleep");
+        r.hs.enqueue_compute(
+            r.s,
+            "set7",
+            Bytes::new(),
+            &[Operand::f64s(r.b, 0, N, Access::Out)],
+            CostHint::trivial(),
+        )
+        .expect("set7");
+        let bogus = BatchAction::EventWait {
+            events: vec![Event(u64::MAX)],
+        };
+        let err =
+            r.hs.enqueue_many(r.s, vec![op_to_batch(&r, &first), bogus])
+                .expect_err("bogus wait");
+        assert!(matches!(err, HsError::UnknownEvent(_)), "{name}: {err:?}");
+        let d2h = r.hs.xfer_to_source(r.s, r.b, 0..8 * N).expect("d2h");
+        r.hs.event_wait(d2h).expect("wait d2h");
+        let mut out = [0.0; N];
+        r.hs.buffer_read_f64(r.b, 0, &mut out).expect("read");
+        assert_eq!(out, [7.0; N], "{name}: the read lost its edge to set7");
+        r.hs.thread_synchronize().expect("sync");
+    }
 }
 
 /// The empty batch is a no-op returning no events.
@@ -323,7 +379,7 @@ fn batch_event_wait_validates_ids() {
 }
 
 /// While an hsan recording is live, a batch records exactly the ops that
-/// the equivalent singles record — same ids (dense mode), same kinds,
+/// the equivalent singles record — same ids (one id counter), same kinds,
 /// footprints and wait edges.
 #[cfg(feature = "hsan-record")]
 #[test]
